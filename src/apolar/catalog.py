@@ -109,6 +109,11 @@ class QuadricWeb:
                 raise ValueError("web quadrics must share one field")
             if q.is_zero() or not q.is_homogeneous() or q.degree() != 2:
                 raise ValueError("web generators must be nonzero quadrics")
+        if isinstance(field, PrimeField) and field.p == 2:
+            raise HypothesisViolationError(
+                "quadric webs need characteristic != 2: their symmetric matrices "
+                "halve the mixed coefficients"
+            )
         self.quadrics = quadrics
         self.field = field
         if self.coefficient_matrix().rank() != 4:
@@ -127,7 +132,42 @@ class QuadricWeb:
         return ExactMatrix(rows, field)
 
     def transformed(self, change: LinearChange) -> "QuadricWeb":
-        return QuadricWeb([change.apply(q) for q in self.quadrics])
+        """The web after substituting x -> M x in every quadric.
+
+        A quadric x^T S x becomes x^T (M^T S M) x, so each image is read off
+        the congruent symmetric matrix instead of expanding the substitution.
+        """
+        if change.n != 4 or change.field != self.field:
+            raise ValueError("coordinate change must act on the web's four variables and field")
+        field = self.field
+        add, mul = field.add, field.mul
+        zero = field.zero
+        m = change.matrix
+        out = []
+        for q in self.quadrics:
+            s = _symmetric_matrix(q, 4)
+            sm = [[zero] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(4):
+                    acc = zero
+                    for k in range(4):
+                        acc = add(acc, mul(s[i][k], m[k][j]))
+                    sm[i][j] = acc
+            terms = {}
+            for i in range(4):
+                for j in range(i, 4):
+                    acc = zero
+                    for k in range(4):
+                        acc = add(acc, mul(m[k][i], sm[k][j]))
+                    if i != j:
+                        acc = add(acc, acc)
+                    if not field.is_zero(acc):
+                        exp = [0] * 4
+                        exp[i] += 1
+                        exp[j] += 1
+                        terms[tuple(exp)] = acc
+            out.append(Poly(4, field, terms))
+        return QuadricWeb(out)
 
     def map_to_field(self, field) -> "QuadricWeb":
         return QuadricWeb([q.map_to_field(field) for q in self.quadrics])
@@ -155,10 +195,10 @@ def quadric_ideal_hf(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
         rows = []
         for q in web.quadrics:
             for m in monomials_of_degree(4, i - 2):
-                prod = q * Poly.monomial(4, field, m)
+                # q * m has the coefficients of q at the shifted exponents
                 row = [field.zero] * len(mons)
-                for e, c in prod.terms.items():
-                    row[idx[e]] = c
+                for e, c in q.terms.items():
+                    row[idx[tuple([a + b for a, b in zip(e, m)])]] = c
                 rows.append(row)
         out.append(comb(i + 3, 3) - ExactMatrix(rows, field).rank())
     return tuple(out)

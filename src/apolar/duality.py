@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import PrimeField
 from .linalg import ExactMatrix, rank
 from .poly import Poly, diff_action, monomials_of_degree, multi_factorial
 
@@ -78,9 +79,16 @@ class DualForm:
             raise ValueError("dual form must be nonzero")
         if not poly.is_homogeneous():
             raise ValueError("dual form must be homogeneous")
+        degree = poly.degree()
+        if isinstance(poly.field, PrimeField) and poly.field.p <= degree:
+            raise ValueError(
+                f"dual forms over F_p need characteristic p > deg F, got p = "
+                f"{poly.field.p} and deg F = {degree}: the factorials in the "
+                "differentiation pairing vanish mod p"
+            )
         self.poly = poly
         self.n = poly.n
-        self.degree = poly.degree()
+        self.degree = degree
         self.field = poly.field
 
     def __eq__(self, other):

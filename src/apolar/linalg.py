@@ -143,12 +143,14 @@ def _rank_mod(entries, p: int) -> int:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], p - 2, p)
-        prow = m[r]
+        # rows below the pivot are zero left of c, and column c is never read
+        # again, so only columns c+1.. need updating
+        tail = m[r][c + 1:]
         for i in range(r + 1, rows):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                row = m[i]
-                m[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+            row = m[i]
+            if row[c]:
+                f = row[c] * inv % p
+                row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], tail)]
         r += 1
         if r == rows:
             break

@@ -64,6 +64,19 @@ class Poly:
                     clean[tuple(exp)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, n: int, field, terms: dict) -> "Poly":
+        """Wrap ``terms`` without the checks of ``__init__``.
+
+        Only for results built from valid operands: every exponent is a
+        length-``n`` tuple of non-negative ints and no coefficient is zero.
+        """
+        p = object.__new__(cls)
+        p.n = n
+        p.field = field
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -142,11 +155,11 @@ class Poly:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
-        return Poly(self.n, F, terms)
+        return Poly._trusted(self.n, F, terms)
 
     def __neg__(self) -> "Poly":
         F = self.field
-        return Poly(self.n, F, {e: F.neg(c) for e, c in self.terms.items()})
+        return Poly._trusted(self.n, F, {e: F.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -154,34 +167,37 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
         F = self.field
+        add, mul = F.add, F.mul
         terms: dict = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = F.add(terms.get(e, F.zero), F.mul(c1, c2))
-                if F.is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly(self.n, F, terms)
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                c = mul(c1, c2)
+                old = get(e)
+                terms[e] = c if old is None else add(old, c)
+        # products of nonzero field elements are nonzero; only sums can cancel
+        return Poly._trusted(self.n, F, {e: c for e, c in terms.items() if not F.is_zero(c)})
 
     def scale(self, c) -> "Poly":
         F = self.field
         if F.is_zero(c):
             return Poly.zero(self.n, F)
-        return Poly(self.n, F, {e: F.mul(c, v) for e, v in self.terms.items()})
+        return Poly._trusted(self.n, F, {e: F.mul(c, v) for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        result = Poly.one(self.n, self.field)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                break
+            base = base * base
+        return Poly.one(self.n, self.field) if result is None else result
 
     def evaluate(self, point):
         """Exact evaluation at a point given as a length-n coefficient vector."""
@@ -281,22 +297,35 @@ class LinearChange:
         if p.field != self.field:
             raise ValueError("field mismatch between change and polynomial")
         F = self.field
+        n = self.n
+        units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
         images = [
-            Poly(self.n, F, {
-                tuple(1 if k == j else 0 for k in range(self.n)): self.matrix[i][j]
-                for j in range(self.n)
+            Poly._trusted(n, F, {
+                units[j]: self.matrix[i][j]
+                for j in range(n)
                 if not F.is_zero(self.matrix[i][j])
             })
-            for i in range(self.n)
+            for i in range(n)
         ]
-        result = Poly.zero(self.n, F)
+        one = Poly.one(n, F)
+        # powers[i][e] == images[i] ** e, grown one multiplication at a time
+        powers = [[one, image] for image in images]
+        add, mul = F.add, F.mul
+        terms: dict = {}
+        get = terms.get
         for exp, c in p.terms.items():
-            term = Poly.constant(self.n, F, c)
+            term = one
             for i, e in enumerate(exp):
                 if e:
-                    term = term * images[i] ** e
-            result = result + term
-        return result
+                    cached = powers[i]
+                    while len(cached) <= e:
+                        cached.append(cached[-1] * images[i])
+                    term = cached[e] if term is one else term * cached[e]
+            for e, v in term.terms.items():
+                v = mul(c, v)
+                old = get(e)
+                terms[e] = v if old is None else add(old, v)
+        return Poly._trusted(n, F, {e: v for e, v in terms.items() if not F.is_zero(v)})
 
 
 def apply_change(g: LinearChange, p: Poly) -> Poly:

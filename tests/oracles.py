@@ -4,7 +4,8 @@ Each oracle deliberately takes a different computational route from the
 library path it checks: Hilbert functions via differentiation-map kernels
 built out of polynomial arithmetic (not the coefficient-times-factorial
 closed form), multiplication ranks via the perfect pairing on quotient
-bases, growth bounds via explicit lex-segment monomial counting, and
+bases, coordinate changes by multiplying out linear factors one at a
+time, growth bounds via explicit lex-segment monomial counting, and
 binomial expansions via exhaustive search.
 """
 
@@ -72,6 +73,28 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
             row.append(full.coefficient((0,) * F.n))
         rows.append(row)
     return ExactMatrix(rows, field).rank()
+
+
+def substitute_naively(matrix, field, p: Poly) -> Poly:
+    """p with x_i replaced by sum_j matrix[i][j] x_j, the slow way.
+
+    Every monomial is expanded as the product of its linear factors, taken
+    one at a time with plain `*`: no cached powers, no squaring, and the
+    terms are summed with `+`.
+    """
+    n = len(matrix)
+    images = []
+    for row in matrix:
+        terms = {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c}
+        images.append(Poly(n, field, terms))
+    result = Poly.zero(n, field)
+    for exp, c in p.terms.items():
+        term = Poly.constant(n, field, c)
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = term * image
+        result = result + term
+    return result
 
 
 def in_span_of_ann(F: DualForm, p: Poly, i: int) -> bool:

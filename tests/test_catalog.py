@@ -35,7 +35,7 @@ from apolar import (
     wlp_check,
 )
 from apolar.linalg import ExactMatrix
-from apolar.poly import Poly
+from apolar.poly import LinearChange, Poly
 from oracles import random_form
 
 FP = GF()
@@ -107,6 +107,38 @@ class TestRepresentatives:
         with pytest.raises(ValueError):
             QuadricWeb([parse_poly(t, 4, QQ)
                         for t in ("x1^2", "x2^2", "x1^2 + x2^2", "x3^2")])
+
+    def test_characteristic_two_rejected(self):
+        with pytest.raises(HypothesisViolationError, match="characteristic"):
+            QuadricWeb([parse_poly(t, 4, GF(2))
+                        for t in ("x1^2", "x1*x2", "x2^2 + x3*x4", "x3^2")])
+        with pytest.raises(HypothesisViolationError, match="characteristic"):
+            orbit_representative(OrbitLabel.I, GF(2))
+
+
+class TestTransformed:
+    @staticmethod
+    def _random_change(field, rng: random.Random) -> LinearChange:
+        while True:
+            m = [[field.from_fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+                 for _ in range(4)]
+            if not field.is_zero(ExactMatrix(m, field).det()):
+                return LinearChange(m, field)
+
+    @pytest.mark.parametrize("field", [FP, QQ])
+    def test_congruence_equals_substitution(self, field):
+        rng = random.Random(303)
+        for label in CATALOG_LABELS:
+            web = orbit_representative(label, field)
+            g = self._random_change(field, rng)
+            assert web.transformed(g).quadrics == [g.apply(q) for q in web.quadrics]
+
+    def test_mismatched_change_rejected(self):
+        web = orbit_representative(OrbitLabel.I, FP)
+        with pytest.raises(ValueError):
+            web.transformed(LinearChange.identity(4, QQ))
+        with pytest.raises(ValueError):
+            web.transformed(LinearChange.identity(3, FP))
 
 
 class TestQuadricIdealHF:

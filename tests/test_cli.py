@@ -193,6 +193,17 @@ class TestExitCodes:
                            "--seed", "4")
         assert code == 3 and "hypothesis" in err
 
+    @pytest.mark.parametrize("command", ["classify", "gin2"])
+    def test_characteristic_two_web_is_three(self, capsys, command):
+        code, _, err = run(capsys, command, "X1^2, X1*X2, X2^2+X3*X4, X3^2",
+                           "--field", "fp:2", "--seed", "1")
+        assert code == 3 and "characteristic != 2" in err
+
+    def test_characteristic_at_most_degree_is_two(self, capsys):
+        code, _, err = run(capsys, "hf", "X1^5 + X2^5", "--field", "fp:5")
+        assert code == 2 and "characteristic p > deg F" in err
+        assert "positive" not in err
+
     def test_internal_inconsistency_is_four(self, capsys, monkeypatch):
         import apolar.cli as cli_module
         monkeypatch.setattr(cli_module, "quadric_ideal_hf",

@@ -48,6 +48,17 @@ class TestHVector:
             HVector((1, 0, 1))
 
 
+class TestDualFormHypotheses:
+    def test_characteristic_at_most_degree_rejected(self):
+        with pytest.raises(ValueError, match="p > deg F"):
+            DF("X1^5 + X2^5", 2, GF(5))
+        with pytest.raises(ValueError, match="p > deg F"):
+            DF("X1^4*X2^3", 2, GF(7))
+
+    def test_characteristic_above_degree_accepted(self):
+        assert tuple(hilbert_function(DF("X1^5 + X2^5", 2, GF(7)))) == (1, 2, 2, 2, 2, 1)
+
+
 class TestCatalecticant:
     def test_x1x2_middle(self):
         m = catalecticant(DF("X1*X2", 2), 1)

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from apolar import GF, QQ, ExactMatrix, rank
+from apolar import (
+    GF,
+    QQ,
+    ExactMatrix,
+    LinearChange,
+    Poly,
+    monomials_of_degree,
+    parse_poly,
+    rank,
+)
 
 FP = GF()
 
@@ -29,12 +38,47 @@ def test_rational_rank_uses_exact_arithmetic():
     assert m.rank() == 1
 
 
+def _low_rank(rng: random.Random, rows: int, cols: int, r: int) -> list[list[int]]:
+    """A rows x cols integer matrix of rank at most r, as a product of two factors."""
+    a = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(rows)]
+    b = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(r)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _web_ideal_quintics() -> list[list[int]]:
+    """The 80 x 56 matrix of q * m for a conjugate of the web (x1, x2)(x3, x4).
+
+    Rows run over the four quadrics times the 20 cubic monomials, columns
+    over the 56 quintic monomials; the rank is 56 - 12 = 44.
+    """
+    change = LinearChange([[1, 2, 0, -1], [0, 1, 3, 1], [2, 0, 1, 0], [1, -1, 0, 2]], QQ)
+    quadrics = [change.apply(parse_poly(t, 4, QQ))
+                for t in ("x1*x3", "x1*x4", "x2*x3", "x2*x4")]
+    col = {m: j for j, m in enumerate(monomials_of_degree(4, 5))}
+    rows = []
+    for q in quadrics:
+        for m in monomials_of_degree(4, 3):
+            row = [0] * len(col)
+            for e, c in (q * Poly.monomial(4, QQ, m)).terms.items():
+                row[col[e]] = int(c)
+            rows.append(row)
+    return rows
+
+
 def test_bareiss_agrees_with_modular_on_integer_matrices():
     rng = random.Random(5)
+    inputs = []
     for _ in range(25):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
-        ints = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        inputs.append([[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)])
+    # tall and rank-deficient, where elimination runs out of pivots early
+    for rows, cols, r in ((12, 5, 3), (20, 8, 1), (30, 12, 7), (40, 10, 10)):
+        inputs.append(_low_rank(rng, rows, cols, r))
+    web = _web_ideal_quintics()
+    assert (len(web), len(web[0])) == (80, 56)
+    inputs.append(web)
+    for ints in inputs:
         rq = ExactMatrix([[Fraction(x) for x in row] for row in ints], QQ).rank()
         rp = ExactMatrix([[x % FP.p for x in row] for row in ints], FP).rank()
         assert rq == rp

@@ -2,11 +2,12 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from apolar import (
     GF,
     QQ,
+    ExactMatrix,
     LinearChange,
     Poly,
     apply_change,
@@ -16,6 +17,7 @@ from apolar import (
     random_linear_change,
     random_linear_form,
 )
+from oracles import substitute_naively
 
 FP = GF()
 
@@ -73,6 +75,28 @@ class TestArithmetic:
     def test_degree_of_zero_undefined(self):
         with pytest.raises(ValueError):
             Poly.zero(2, QQ).degree()
+
+    def test_mul_cancellation_drops_terms(self):
+        product = P("X1 + X2", 2, FP) * P("X1 - X2", 2, FP)
+        assert product.terms == {(2, 0): 1, (0, 2): FP.p - 1}
+
+    @pytest.mark.parametrize("field", [QQ, FP])
+    def test_pow_matches_repeated_multiplication(self, field):
+        cases = [
+            Poly.zero(3, field),
+            Poly.constant(3, field, field.from_int(-7)),
+            P("X1 - 2*X2", 3, field),
+            P("X1^2*X3 + 3*X2 - 5", 3, field),
+        ]
+        for p in cases:
+            expected = Poly.one(3, field)
+            for k in range(7):
+                assert p ** k == expected
+                expected = expected * p
+
+    def test_negative_pow_rejected(self):
+        with pytest.raises(ValueError):
+            P("X1", 1) ** -1
 
 
 class TestDiffAction:
@@ -142,6 +166,33 @@ class TestLinearChange:
             p = Poly(3, FP, {m: FP.rand(rng) for m in monomials_of_degree(3, 2)})
             q = Poly(3, FP, {m: FP.rand(rng) for m in monomials_of_degree(3, 1)})
             assert g.apply(p * q) == g.apply(p) * g.apply(q)
+
+
+@st.composite
+def change_and_poly(draw):
+    """An invertible change in n <= 4 variables and a polynomial of degree <= 5."""
+    field = draw(st.sampled_from([QQ, FP]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    if field == QQ:
+        entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        entries = st.integers(min_value=0, max_value=FP.p - 1)
+    matrix = draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(not field.is_zero(ExactMatrix(matrix, field).det()))
+    mons = [m for d in range(6) for m in monomials_of_degree(n, d)]
+    chosen = draw(st.lists(st.sampled_from(mons), max_size=6, unique=True))
+    coeffs = draw(st.lists(
+        st.integers(min_value=-20, max_value=20), min_size=len(chosen), max_size=len(chosen)))
+    poly = Poly(n, field, {m: field.from_int(c) for m, c in zip(chosen, coeffs)})
+    return LinearChange(matrix, field), poly
+
+
+@settings(max_examples=80, deadline=None)
+@given(change_and_poly())
+def test_apply_matches_naive_substitution(case):
+    change, p = case
+    assert change.apply(p) == substitute_naively(change.matrix, change.field, p)
 
 
 class TestRandomLinearForm:
