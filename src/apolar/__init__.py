@@ -46,7 +46,6 @@ from .duality import (
     hf_modulo_linear,
     hilbert_function,
     quotient_basis,
-    rank,
     span_dimension,
 )
 from .errors import HypothesisViolationError, InternalInconsistencyError
@@ -72,7 +71,6 @@ from .linalg import ExactMatrix
 from .poly import (
     LinearChange,
     Poly,
-    apply_change,
     diff_action,
     monomials_of_degree,
     random_linear_change,

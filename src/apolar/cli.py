@@ -58,8 +58,6 @@ def _common_flags(parser: argparse.ArgumentParser, randomized: bool) -> None:
     parser.add_argument("--n", type=int, default=None,
                         help="ambient variable count (default: largest index used)")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never changes results (reserved)")
     parser.add_argument("--input", default=None, metavar="PATH",
                         help="read the polynomial/web text from a file")
 
@@ -201,15 +199,12 @@ def _wlp_lines(report) -> list[str]:
     if report.verdict is Verdict.HOLDS:
         lines.append(f"verdict: Holds (certificate: trial {report.certificate_trial}, "
                      f"form {report.certificate_form})")
-    elif report.verdict is Verdict.FAILS:
-        if hasattr(report, "failing_degrees"):
-            shown = sorted(set(report.failing_degrees) | set(report.dual_failing_degrees))
-            lines.append(f"verdict: FailsAtDegrees({shown})")
-        else:
-            pairs = ", ".join(f"(i={i}, k={k})" for i, k in report.failing_pairs)
-            lines.append(f"verdict: Fails at maps {pairs}")
+    elif hasattr(report, "failing_degrees"):
+        shown = sorted(set(report.failing_degrees) | set(report.dual_failing_degrees))
+        lines.append(f"verdict: FailsAtDegrees({shown})")
     else:
-        lines.append("verdict: Inconclusive")
+        pairs = ", ".join(f"(i={i}, k={k})" for i, k in report.failing_pairs)
+        lines.append(f"verdict: Fails at maps {pairs}")
     for r in report.records:
         flag = "maximal" if r.maximal else "DEFICIENT"
         lines.append(f"  map {r.i} -> {r.i + r.k}: rank {r.achieved}/{r.expected} {flag}")
@@ -458,7 +453,7 @@ _BODIES = {
 
 def _config_echo(args) -> dict:
     cfg = {"field": getattr(args, "field", "fp")}
-    for key in ("seed", "trials", "n", "threads"):
+    for key in ("seed", "trials", "n"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -466,9 +461,6 @@ def _config_echo(args) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     started = time.monotonic()
     try:
         result, text = _BODIES[args.command](args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import PrimeField
-from .linalg import ExactMatrix, rank
+from .linalg import ExactMatrix
 from .poly import Poly, diff_action, monomials_of_degree, multi_factorial
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "HVector",
     "monomials_of_degree",
     "catalecticant",
-    "rank",
     "hilbert_function",
     "ann_degree",
     "quotient_basis",
@@ -215,30 +214,14 @@ def quotient_basis(F: DualForm, i: int) -> list[tuple[int, ...]]:
     """Monomials of degree i whose classes form a basis of [A_F]_i.
 
     Greedy in descending graded-lex order: a monomial is kept exactly when
-    its catalecticant row is independent of the rows already kept, so the
-    result is deterministic.
+    its catalecticant row is independent of the rows before it, so the
+    result is the row rank profile, the pivot columns of the transpose.
     """
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"degree {i} outside 0..{d}")
-    field = F.field
-    cat = catalecticant(F, i)
     mons = monomials_of_degree(F.n, i)
-    basis: list[tuple[int, ...]] = []
-    reduced: list[tuple[int, list]] = []  # (pivot column, normalized row)
-    for idx, mon in enumerate(mons):
-        row = cat.entries[idx][:]
-        for pc, prow in reduced:
-            if not field.is_zero(row[pc]):
-                f = row[pc]
-                row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
-        pivot = next((j for j, x in enumerate(row) if not field.is_zero(x)), None)
-        if pivot is None:
-            continue
-        inv = field.inv(row[pivot])
-        reduced.append((pivot, [field.mul(inv, x) for x in row]))
-        basis.append(mon)
-    return basis
+    return [mons[j] for j in catalecticant(F, i).transpose().pivot_columns()]
 
 
 def contract(g: Poly, F: DualForm) -> DualForm | None:

@@ -35,7 +35,6 @@ from .poly import Poly, diff_action, random_linear_form
 class Verdict(str, Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class SlpReport:
     trials_used: int
     seed: int
     field_description: str
-    all_pairs_checked: bool = True
     certificate_trial: int | None = None
     certificate_form: str | None = None
 
@@ -114,7 +112,6 @@ class SlpReport:
             "trials_used": self.trials_used,
             "seed": self.seed,
             "field": self.field_description,
-            "all_pairs_checked": self.all_pairs_checked,
             "certificate_trial": self.certificate_trial,
             "certificate_form": self.certificate_form,
         }

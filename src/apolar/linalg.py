@@ -1,15 +1,22 @@
-"""Dense exact matrices and exact rank/determinant/kernel computations.
+"""Dense exact matrices and the one row reduction per field that serves them.
 
-Rank over the rationals uses fraction-free Bareiss elimination on the
-denominator-cleared integer matrix; rank over a prime field uses ordinary
-Gaussian elimination with modular inverses.  Everything is deliberately
-dense: the matrices at play are desk scale.
+Rank, determinant, pivot columns, kernel and inverse are all read off a
+single row-reduction routine for each field family:
+
+- over F_p, `_eliminate_mod` runs Gaussian elimination on raw ints, reduced
+  mod p once on entry;
+- over QQ, `_eliminate_int` runs fraction-free Bareiss elimination (Bareiss
+  1968) on the rows cleared of their denominators.  Its reduced variant is
+  fraction-free Gauss-Jordan elimination: every pivot ends equal to the last
+  one, D, and the reduced row echelon form is the integer matrix over D.
+
+Everything is deliberately dense: the matrices at play are desk scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 from .fields import PrimeField
 
@@ -25,10 +32,6 @@ class ExactMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
         self.field = field
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field) -> "ExactMatrix":
-        return cls([[field.zero] * cols for _ in range(rows)], field)
 
     def __getitem__(self, rc):
         r, c = rc
@@ -51,241 +54,175 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if isinstance(self.field, PrimeField):
-            return _rank_mod(self.entries, self.field.p)
-        return _rank_bareiss(_cleared_int_rows(self.entries))
+        return len(_echelon(self.entries, self.field, False)[1])
 
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return self.field.one
+        m, pivots, sign = _echelon(self.entries, self.field, False)
+        if len(pivots) < self.rows:
+            return self.field.zero
         if isinstance(self.field, PrimeField):
-            return _det_mod(self.entries, self.field.p)
-        return _det_bareiss_rational(self.entries)
+            p = self.field.p
+            det = sign
+            for r, row in enumerate(m):
+                det = det * row[r] % p
+            return det
+        # the last Bareiss pivot is the determinant of the cleared rows
+        last = m[-1][-1] if m else 1
+        return Fraction(sign * last, prod(_row_lcm(row) for row in self.entries))
 
     def kernel_basis(self) -> list[list]:
-        """Basis of the right kernel {v : M v = 0}, deterministic."""
-        return _kernel(self.entries, self.rows, self.cols, self.field)
+        """Basis of the right kernel {v : M v = 0}, read off the reduced echelon form.
+
+        One vector per free column: 1 there, 0 at the other free columns.
+        """
+        F = self.field
+        m, pivots = _rref(self.entries, F)
+        pivot_set = set(pivots)
+        basis = []
+        for fc in range(self.cols):
+            if fc in pivot_set:
+                continue
+            v = [F.zero] * self.cols
+            v[fc] = F.one
+            for row, pc in zip(m, pivots):
+                v[pc] = F.neg(row[fc])
+            basis.append(v)
+        return basis
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the pivots of the row echelon form."""
-        F = self.field
-        m = [row[:] for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = None
-            for i in range(r, self.rows):
-                if not F.is_zero(m[i][c]):
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = F.inv(m[r][c])
-            m[r] = [F.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not F.is_zero(m[i][c]):
-                    f = m[i][c]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return pivots
+        return _echelon(self.entries, self.field, False)[1]
 
     def inverse_entries(self) -> list[list]:
-        """Entries of the inverse matrix (square, invertible)."""
+        """Entries of the inverse matrix: the right half of the reduced form of [M | I]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         F = self.field
         n = self.rows
-        m = [self.entries[i][:] + [F.one if j == i else F.zero for j in range(n)]
-             for i in range(n)]
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if not F.is_zero(m[i][c]):
-                    pivot = i
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            m[c], m[pivot] = m[pivot], m[c]
-            inv = F.inv(m[c][c])
-            m[c] = [F.mul(inv, x) for x in m[c]]
-            for i in range(n):
-                if i != c and not F.is_zero(m[i][c]):
-                    f = m[i][c]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[c])]
+        augmented = [row + [F.one if j == i else F.zero for j in range(n)]
+                     for i, row in enumerate(self.entries)]
+        m, pivots = _rref(augmented, F)
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
         return [row[n:] for row in m]
 
 
-def rank(matrix: ExactMatrix) -> int:
-    return matrix.rank()
+def _echelon(entries, field, reduced: bool):
+    """Row-reduce a copy of `entries`: (rows, pivot columns, sign of the row swaps).
+
+    Over F_p the rows are ints in [0, p).  Over QQ each row is first scaled by
+    the lcm of its denominators, so the rows are integers.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        m = [[x % p for x in row] for row in entries]
+        return (m, *_eliminate_mod(m, p, reduced))
+    m = [_cleared(row) for row in entries]
+    return (m, *_eliminate_int(m, reduced))
 
 
-# -- prime field kernels ----------------------------------------------------
+def _rref(entries, field):
+    """The nonzero rows of the reduced row echelon form, as field elements, and its pivots."""
+    m, pivots, _ = _echelon(entries, field, True)
+    m = m[:len(pivots)]
+    if isinstance(field, PrimeField) or not pivots:
+        return m, pivots
+    last = m[-1][pivots[-1]]
+    return [[Fraction(x, last) for x in row] for row in m], pivots
 
-def _rank_mod(entries, p: int) -> int:
-    m = [[x % p for x in row] for row in entries]
-    rows, cols = len(m), len(m[0])
-    r = 0
+
+def _row_lcm(row) -> int:
+    return lcm(*(x.denominator for x in row))
+
+
+def _cleared(row) -> list[int]:
+    """The row scaled by the lcm of its denominators; the row space is unchanged."""
+    scale = _row_lcm(row)
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _eliminate_mod(m: list[list[int]], p: int, reduced: bool):
+    """Gaussian elimination in place on rows of ints in [0, p).
+
+    Each pivot clears its column below it.  With `reduced`, the pivot row is
+    first scaled to a leading 1 and the rows above are cleared too, which
+    leaves the reduced row echelon form.  Returns the pivot columns and the
+    sign of the row swaps.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        # rows below the pivot are zero left of c, and column c is never read
-        # again, so only columns c+1.. need updating
-        tail = m[r][c + 1:]
-        for i in range(r + 1, rows):
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        prow = m[r]
+        inv = pow(prow[c], -1, p)
+        if reduced:
+            prow[c:] = [1] + [x * inv % p for x in prow[c + 1:]]
+            inv = 1
+            others = [*range(r), *range(r + 1, rows)]
+        else:
+            others = range(r + 1, rows)
+        # the pivot row is zero left of c: column c becomes 0, columns c+1.. change
+        tail = prow[c + 1:]
+        for i in others:
             row = m[i]
             if row[c]:
                 f = row[c] * inv % p
                 row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], tail)]
-        r += 1
-        if r == rows:
-            break
-    return r
+                row[c] = 0
+        pivots.append(c)
+    return pivots, sign
 
 
-def _det_mod(entries, p: int):
-    m = [[x % p for x in row] for row in entries]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = p - det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        prow = m[c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
-    return det % p
+def _eliminate_int(m: list[list[int]], reduced: bool):
+    """Fraction-free (Bareiss) elimination in place on integer rows.
 
-
-# -- rational kernels (fraction-free) ----------------------------------------
-
-def _cleared_int_rows(entries) -> list[list[int]]:
-    """Scale each row by the lcm of denominators; rank is unchanged."""
-    out = []
-    for row in entries:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(Fraction(x) * lcm) for x in row])
-    return out
-
-
-def _rank_bareiss(m: list[list[int]]) -> int:
-    rows, cols = len(m), len(m[0])
-    r = 0
+    Each step replaces a row by (pivot * row - row[c] * pivot row) / previous
+    pivot; the division is exact because every entry stays a minor of the
+    input.  With `reduced`, the rows above the pivot get the same update
+    (fraction-free Gauss-Jordan), so every pivot ends equal to the last one
+    and the matrix is its reduced row echelon form times that pivot.  Returns
+    the pivot columns and the sign of the row swaps.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
         prow = m[r]
         pc = prow[c]
+        # rows below are zero left of c
+        tail = prow[c:]
         for i in range(r + 1, rows):
             row = m[i]
             f = row[c]
-            m[i] = [(pc * a - f * b) // prev for a, b in zip(row, prow)]
+            row[c:] = [(pc * a - f * b) // prev for a, b in zip(row[c:], tail)]
+        if reduced:
+            for i in range(r):
+                row = m[i]
+                f = row[c]
+                m[i] = [(pc * a - f * b) // prev for a, b in zip(row, prow)]
         prev = pc
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _det_bareiss_rational(entries):
-    n = len(entries)
-    denom = Fraction(1)
-    m = []
-    for row in entries:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm // gcd(lcm, d) * d
-        denom *= lcm
-        m.append([int(Fraction(x) * lcm) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        prow = m[c]
-        pc = prow[c]
-        for i in range(c + 1, n):
-            row = m[i]
-            f = row[c]
-            m[i] = [(pc * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = pc
-    return Fraction(sign * m[n - 1][n - 1]) / denom
-
-
-def _kernel(entries, rows, cols, field) -> list[list]:
-    F = field
-    m = [row[:] for row in entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if not F.is_zero(m[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and not F.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F.zero] * cols
-        v[fc] = F.one
-        for pr, pc in enumerate(pivots):
-            v[pc] = F.neg(m[pr][fc])
-        basis.append(v)
-    return basis
+    return pivots, sign

@@ -328,10 +328,6 @@ class LinearChange:
         return Poly._trusted(n, F, {e: v for e, v in terms.items() if not F.is_zero(v)})
 
 
-def apply_change(g: LinearChange, p: Poly) -> Poly:
-    return g.apply(p)
-
-
 def random_linear_form(n: int, field: PrimeField, rng: random.Random) -> Poly:
     """A uniformly random nonzero linear form over a prime field.
 

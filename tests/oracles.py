@@ -5,14 +5,18 @@ library path it checks: Hilbert functions via differentiation-map kernels
 built out of polynomial arithmetic (not the coefficient-times-factorial
 closed form), multiplication ranks via the perfect pairing on quotient
 bases, coordinate changes by multiplying out linear factors one at a
-time, growth bounds via explicit lex-segment monomial counting, and
-binomial expansions via exhaustive search.
+time, growth bounds via explicit lex-segment monomial counting,
+binomial expansions via exhaustive search, and pivot columns and
+determinants of plain matrices via textbook Gauss-Jordan elimination and
+the Leibniz formula.
 """
 
 from __future__ import annotations
 
 import random
-from math import comb
+from fractions import Fraction
+from itertools import permutations
+from math import comb, prod
 
 from apolar import (
     DualForm,
@@ -114,6 +118,48 @@ def in_span_of_ann(F: DualForm, p: Poly, i: int) -> bool:
     before = ExactMatrix(rows, field).rank() if rows else 0
     after = ExactMatrix(rows + [vec(p)], field).rank()
     return after == before
+
+
+# -- plain matrix oracles --------------------------------------------------------
+
+
+def column_rank_profile(entries, p: int | None = None) -> list[int]:
+    """Pivot columns of the reduced row echelon form, by textbook Gauss-Jordan.
+
+    Over QQ (p None) every entry is a Fraction; over F_p an int reduced mod p
+    after every operation.  Each pivot row is divided by its pivot and the
+    pivot column is cleared in every other row.
+    """
+    if p is None:
+        norm, inverse = Fraction, lambda x: 1 / x
+    else:
+        norm, inverse = (lambda x: x % p), (lambda x: pow(x, p - 2, p))
+    m = [[norm(x) for x in row] for row in entries]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        candidates = [i for i in range(r, len(m)) if m[i][c] != 0]
+        if not candidates:
+            continue
+        m[r], m[candidates[0]] = m[candidates[0]], m[r]
+        s = inverse(m[r][c])
+        m[r] = [norm(x * s) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [norm(a - f * b) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def leibniz_det(entries, p: int | None = None):
+    """Determinant as the signed sum over all permutations (mod p when given)."""
+    n = len(entries)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        total += (-1) ** inversions * prod(Fraction(entries[i][perm[i]]) for i in range(n))
+    return total if p is None else int(total) % p
 
 
 # -- lex-segment oracles for the growth bounds --------------------------------

@@ -156,10 +156,11 @@ def test_input_from_file(tmp_path, capsys):
     assert code == 0 and "(1, 2, 2, 1)" in out
 
 
-def test_threads_flag_does_not_change_results(capsys):
-    a = run_json(capsys, "hf", "X1^2*X2", "--json", "--threads", "1")
-    b = run_json(capsys, "hf", "X1^2*X2", "--json", "--threads", "4")
-    assert a["result"] == b["result"]
+def test_threads_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hf", "X1^2*X2", "--json", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -18,7 +18,6 @@ from apolar import (
     perazzo_dual_form,
     quotient_basis,
     random_linear_form,
-    rank,
 )
 from oracles import (
     ann_dimension_by_kernel,
@@ -80,7 +79,7 @@ class TestCatalecticant:
             catalecticant(DF("X1*X2", 2), 3)
 
     def test_rank_helper(self):
-        assert rank(catalecticant(DF("X1*X2", 2), 1)) == 2
+        assert catalecticant(DF("X1*X2", 2), 1).rank() == 2
 
 
 class TestHilbertFunction:
@@ -171,6 +170,10 @@ class TestQuotientBasis:
                     continue
                 extended = rows + [cat.entries[index[m]]]
                 assert ExactMatrix(extended, FP).rank() == len(basis)
+            # greedy: every prefix of the monomials keeps a basis of its rows
+            for k in range(len(mons) + 1):
+                kept = sum(1 for m in basis if index[m] < k)
+                assert ExactMatrix(cat.entries[:k], FP).rank() == kept
 
 
 class TestContract:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar import (
     GF,
@@ -9,17 +10,18 @@ from apolar import (
     ExactMatrix,
     LinearChange,
     Poly,
+    PrimeField,
     monomials_of_degree,
     parse_poly,
-    rank,
 )
+from oracles import column_rank_profile, leibniz_det
 
 FP = GF()
 
 
 def test_identity_rank():
     m = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], FP)
-    assert rank(m) == 3
+    assert m.rank() == 3
 
 
 def test_zero_rank():
@@ -121,3 +123,84 @@ def test_inverse_entries():
         prod = [[sum(a[i][k] * inv.entries[k][j] for k in range(3)) % FP.p
                  for j in range(3)] for i in range(3)]
         assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("entries, rank, det, pivots, kernel, inverse", [
+    ([[7, 1], [1, 0]], 2, 6, [0, 1], [], [[0, 1], [1, 0]]),
+    ([[1, 1], [1, 8]], 1, 0, [0], [[6, 1]], None),
+    ([[-1, 3], [2, -6]], 1, 0, [0], [[3, 1]], None),
+])
+def test_unreduced_entries_mean_their_residues(entries, rank, det, pivots, kernel, inverse):
+    m = ExactMatrix(entries, GF(7))
+    assert (m.rank(), m.det(), m.pivot_columns(), m.kernel_basis()) == (rank, det, pivots, kernel)
+    if inverse is None:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse_entries()
+    else:
+        assert m.inverse_entries() == inverse
+        assert LinearChange(entries, GF(7)).inverse().matrix == inverse
+
+
+@st.composite
+def field_matrices(draw):
+    """A field and a matrix of up to 7 x 7 over it, often a low-rank product.
+
+    QQ entries are non-integral fractions; F_p entries are raw ints, many of
+    them outside [0, p) and, over GF(7), many vanishing mod p.  Half the
+    entries are zero, so that pivots meet zeros in the rows around them.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    elif field == FP:
+        entry = st.one_of(st.integers(-20, 20), st.integers(0, FP.p - 1))
+    else:
+        entry = st.integers(-20, 20)
+    entry = st.one_of(st.just(0), entry)
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 7)))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return field, block(rows, cols)
+    r = draw(st.integers(0, min(rows, cols)))
+    a, b = block(rows, r), block(r, cols)
+    return field, [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)]
+                   for i in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_derived_operations_agree_with_oracles(case):
+    field, entries = case
+    p = field.p if isinstance(field, PrimeField) else None
+
+    def reduce(x):
+        return x if p is None else x % p
+
+    m = ExactMatrix(entries, field)
+    pivots = m.pivot_columns()
+    rank = m.rank()
+    assert rank == len(pivots) == m.transpose().rank()
+    assert pivots == column_rank_profile(entries, p)
+    free = [c for c in range(m.cols) if c not in pivots]
+    kernel = m.kernel_basis()
+    assert len(kernel) == m.cols - rank
+    for fc, v in zip(free, kernel):
+        assert [reduce(sum(a * x for a, x in zip(row, v))) for row in entries] == [0] * m.rows
+        assert [v[c] for c in free] == [int(c == fc) for c in free]
+    if m.rows != m.cols:
+        return
+    n = m.rows
+    det = m.det()
+    assert det == leibniz_det(entries, p)
+    if det == 0:
+        with pytest.raises(ValueError):
+            m.inverse_entries()
+        return
+    inv = m.inverse_entries()
+    product = [[reduce(sum(inv[i][k] * entries[k][j] for k in range(n))) for j in range(n)]
+               for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
