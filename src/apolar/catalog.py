@@ -183,24 +183,37 @@ def orbit_representative(label: OrbitLabel, field=QQ) -> QuadricWeb:
     return QuadricWeb([parse_poly(t, 4, field) for t in _REPRESENTATIVES[label]])
 
 
+def _ideal_rows(quadrics: list[Poly], degree: int, weighted: bool = False):
+    """The degree-`degree` monomials and the rows of q * x^w over them.
+
+    One row per quadric q and monomial x^w of degree `degree` - 2, holding
+    the coefficients of q at the shifted exponents.  With `weighted`, column
+    v is scaled by v!, so that the kernel is the inverse system: the forms
+    of that degree annihilated by every q * x^w.
+    """
+    field = quadrics[0].field
+    n = quadrics[0].n
+    mons = monomials_of_degree(n, degree)
+    idx = {m: j for j, m in enumerate(mons)}
+    rows = []
+    for q in quadrics:
+        for w in monomials_of_degree(n, degree - 2):
+            row = [field.zero] * len(mons)
+            for e, c in q.terms.items():
+                v = tuple([a + b for a, b in zip(e, w)])
+                row[idx[v]] = field.mul(c, field.from_int(multi_factorial(v))) if weighted else c
+            rows.append(row)
+    return mons, rows
+
+
 def quadric_ideal_hf(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
     """Hilbert function of the quotient by the web ideal, degrees 0..up_to."""
     if up_to < 2:
         raise ValueError("need up_to >= 2")
-    field = web.field
     out = [1, 4]
     for i in range(2, up_to + 1):
-        mons = monomials_of_degree(4, i)
-        idx = {m: j for j, m in enumerate(mons)}
-        rows = []
-        for q in web.quadrics:
-            for m in monomials_of_degree(4, i - 2):
-                # q * m has the coefficients of q at the shifted exponents
-                row = [field.zero] * len(mons)
-                for e, c in q.terms.items():
-                    row[idx[tuple([a + b for a, b in zip(e, m)])]] = c
-                rows.append(row)
-        out.append(comb(i + 3, 3) - ExactMatrix(rows, field).rank())
+        rows = _ideal_rows(web.quadrics, i)[1]
+        out.append(comb(i + 3, 3) - ExactMatrix(rows, web.field).rank())
     return tuple(out)
 
 
@@ -286,13 +299,7 @@ def _dual_pencil(reduced: list[Poly]):
     complement does not have dimension two.
     """
     field = reduced[0].field
-    mons = monomials_of_degree(3, 2)
-    rows = []
-    for q in reduced:
-        rows.append([
-            field.mul(q.terms.get(w, field.zero), field.from_int(multi_factorial(w)))
-            for w in mons
-        ])
+    mons, rows = _ideal_rows(reduced, 2, weighted=True)
     kernel = ExactMatrix(rows, field).kernel_basis()
     if len(kernel) != 2:
         return None
@@ -597,31 +604,16 @@ def classify_web(web: QuadricWeb, seed: int) -> OrbitLabel:
 def inverse_system_sample(web: QuadricWeb, degree: int, seed: int) -> DualForm:
     """A random form of the given degree annihilated by every web quadric.
 
-    Uniformly random coordinates over the kernel of the stacked contraction
-    maps; deterministic given the seed.
+    Uniformly random coordinates over the kernel of the factorial-weighted
+    ideal rows (the inverse system of the web in that degree); deterministic
+    given the seed.
     """
     if degree < 2:
         raise ValueError("need degree >= 2")
     if not isinstance(web.field, PrimeField):
         raise ValueError("inverse-system sampling needs a prime field")
     field = web.field
-    cols = monomials_of_degree(4, degree)
-    out_mons = monomials_of_degree(4, degree - 2)
-    rows = []
-    for q in web.quadrics:
-        for w in out_mons:
-            row = []
-            for v in cols:
-                total = field.zero
-                for u, c in q.terms.items():
-                    if all(wi + ui == vi for wi, ui, vi in zip(w, u, v)):
-                        mult = 1
-                        for a, b in zip(u, v):
-                            for r in range(a):
-                                mult *= b - r
-                        total = field.add(total, field.mul(c, field.from_int(mult)))
-                row.append(total)
-            rows.append(row)
+    cols, rows = _ideal_rows(web.quadrics, degree, weighted=True)
     kernel = ExactMatrix(rows, field).kernel_basis()
     if not kernel:
         raise ValueError(f"the web has no inverse system in degree {degree}")

@@ -4,7 +4,10 @@ A dual form F of degree d in n dual variables presents the artinian
 Gorenstein algebra A = R / Ann(F), where the operator ring R acts on forms
 by differentiation.  The graded dimension dim [A]_i equals the rank of the
 i-th catalecticant matrix, and all computations below reduce to exact ranks
-and kernels of such pairing matrices.
+and kernels of such pairing matrices.  Every pairing matrix is read off the
+catalecticant: annihilators are its left kernel, and the pairing rows of
+arbitrary operators are combinations of its rows.  (The inverse systems of
+quadric webs in `catalog` are read off the web's ideal rows instead.)
 """
 
 from __future__ import annotations
@@ -151,41 +154,30 @@ def pairing_rows(F: DualForm, operators: list[Poly], i: int) -> ExactMatrix:
     The row of an operator p is the vector ((p m_v) applied to F) over the
     monomials m_v of degree d-i; its row space is [p] inside [A_F]_i under
     the perfect pairing, so ranks of these matrices are dimensions of spans
-    in the quotient algebra.
+    in the quotient algebra.  It is read off the catalecticant: the row of
+    p = sum c_u m_u is sum c_u cat[u].
     """
-    d = F.degree
     field = F.field
-    cols = monomials_of_degree(F.n, d - i)
-    col_index = {e: j for j, e in enumerate(cols)}
+    row_index = {e: j for j, e in enumerate(monomials_of_degree(F.n, i))}
+    cat = catalecticant(F, i)
     rows = []
     for p in operators:
-        row = [field.zero] * len(cols)
-        for op_exp, op_c in p.terms.items():
-            for t_exp, t_c in F.poly.terms.items():
-                ok = True
-                mult = 1
-                for a, b in zip(op_exp, t_exp):
-                    if a > b:
-                        ok = False
-                        break
-                    for r in range(a):
-                        mult *= b - r
-                if not ok:
-                    continue
-                rem = tuple(b - a for a, b in zip(op_exp, t_exp))
-                j = col_index.get(rem)
-                if j is None:
-                    continue
-                # finish contracting by the column monomial: multiply the
-                # remaining factorials in
-                mult *= multi_factorial(rem)
-                row[j] = field.add(row[j], field.mul(field.mul(op_c, t_c), field.from_int(mult)))
+        row = [field.zero] * cat.cols
+        for u, c in p.terms.items():
+            if u not in row_index:
+                raise ValueError(f"pairing operators must have degree {i}, got {p!r}")
+            for j, x in enumerate(cat.entries[row_index[u]]):
+                if not field.is_zero(x):
+                    row[j] = field.add(row[j], field.mul(c, x))
         rows.append(row)
     return ExactMatrix(rows, field)
 
 
 def span_dimension(F: DualForm, operators: list[Poly], i: int) -> int:
-    """Dimension of the span of the given degree-i operators inside [A_F]_i."""
+    """Dimension of the span of the given degree-i operators inside [A_F]_i.
+
+    Raises ValueError when an operator has a term of another degree.
+    """
     if not operators:
         return 0
     return pairing_rows(F, operators, i).rank()
@@ -194,7 +186,8 @@ def span_dimension(F: DualForm, operators: list[Poly], i: int) -> int:
 def ann_degree(F: DualForm, i: int) -> list[Poly]:
     """A basis of the degree-i part of the annihilator of F.
 
-    Kernel of the differentiation map R_i -> S_{d-i}; all of R_i when i > d.
+    Kernel of the differentiation map R_i -> S_{d-i}, the left kernel of the
+    i-th catalecticant; all of R_i when i > d.
     """
     if i < 0:
         raise ValueError("degree must be non-negative")
@@ -202,9 +195,8 @@ def ann_degree(F: DualForm, i: int) -> list[Poly]:
     mons = monomials_of_degree(F.n, i)
     if i > F.degree:
         return [Poly.monomial(F.n, field, e) for e in mons]
-    matrix = pairing_rows(F, [Poly.monomial(F.n, field, e) for e in mons], i)
     basis = []
-    for v in matrix.transpose().kernel_basis():
+    for v in catalecticant(F, i).transpose().kernel_basis():
         terms = {e: c for e, c in zip(mons, v) if not field.is_zero(c)}
         basis.append(Poly(F.n, field, terms))
     return basis

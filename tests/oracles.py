@@ -1,14 +1,15 @@
 """Independent oracles used to freeze expected values.
 
 Each oracle deliberately takes a different computational route from the
-library path it checks: Hilbert functions via differentiation-map kernels
-built out of polynomial arithmetic (not the coefficient-times-factorial
-closed form), multiplication ranks via the perfect pairing on quotient
-bases, coordinate changes by multiplying out linear factors one at a
-time, growth bounds via explicit lex-segment monomial counting,
-binomial expansions via exhaustive search, and pivot columns and
-determinants of plain matrices via textbook Gauss-Jordan elimination and
-the Leibniz formula.
+library path it checks: Hilbert functions and pairing rows via
+differentiation built out of polynomial arithmetic (not the
+coefficient-times-factorial closed form of the catalecticant),
+multiplication ranks via the perfect pairing on quotient bases,
+coordinate changes by multiplying out linear factors one at a time,
+growth bounds via explicit lex-segment monomial counting, binomial
+expansions via exhaustive search, and pivot columns and determinants of
+plain matrices via textbook Gauss-Jordan elimination and the Leibniz
+formula.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb, prod
+from math import comb, factorial, prod
 
 from apolar import (
     DualForm,
@@ -41,6 +42,22 @@ def differentiation_matrix(F: DualForm, i: int) -> ExactMatrix:
         for e, c in image.terms.items():
             row[col[e]] = c
         rows.append(row)
+    return ExactMatrix(rows, field)
+
+
+def pairing_rows_naive(F: DualForm, operators: list[Poly], i: int) -> ExactMatrix:
+    """Pairing rows without the catalecticant, one diff_action per operator.
+
+    (p m_v) applied to F is the coefficient of p applied to F at v times v!,
+    so the row of p lists those over the monomials m_v of degree d-i.
+    """
+    field = F.field
+    cols = monomials_of_degree(F.n, F.degree - i)
+    rows = []
+    for p in operators:
+        image = diff_action(p, F.poly)
+        rows.append([field.mul(image.coefficient(v), field.from_int(prod(map(factorial, v))))
+                     for v in cols])
     return ExactMatrix(rows, field)
 
 

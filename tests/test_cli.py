@@ -77,6 +77,10 @@ GOLDEN_SNAPSHOTS = {
     "hf.json": ("hf", "X1^2*X2"),
     "bounds_macaulay.json": ("bounds", "macaulay", "13", "2"),
     "wlp_sharpness.json": ("wlp", PERAZZO3, "--seed", "42"),
+    "ann.json": ("ann", "X1^2*X2", "2"),
+    "family.json": ("family", "VII", "5", "--seed", "11"),
+    "snake.json": ("snake", PERAZZO3, "--seed", "13"),
+    "classify.json": ("classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--seed", "3"),
 }
 
 

@@ -2,27 +2,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar import (
     GF,
     QQ,
     DualForm,
     HVector,
+    Poly,
     ann_degree,
     catalecticant,
     contract,
     hf_modulo_linear,
     hilbert_function,
     is_o_sequence,
+    monomials_of_degree,
     parse_poly,
     perazzo_dual_form,
     quotient_basis,
     random_linear_form,
+    span_dimension,
 )
+from apolar.duality import pairing_rows
 from oracles import (
     ann_dimension_by_kernel,
     hf_by_kernels,
     in_span_of_ann,
+    pairing_rows_naive,
     random_form,
 )
 
@@ -133,6 +139,47 @@ class TestAnnDegree:
             h = hilbert_function(F)
             for i in range(d + 1):
                 assert len(ann_degree(F, i)) == comb(n + i - 1, i) - h[i]
+
+
+class TestPairingRows:
+    @pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+    @pytest.mark.parametrize("text", ["x1^2", "x1 + x2^2"])
+    def test_wrong_degree_operators_rejected(self, field, text):
+        F = DF("X1^3 + X2^3", 2, field)
+        with pytest.raises(ValueError, match="degree 1"):
+            span_dimension(F, [parse_poly(text, 2, field)], 1)
+
+
+@st.composite
+def form_and_operators(draw):
+    """A dual form and a list of multi-term operators of one degree i <= d.
+
+    QQ coefficients are non-integral fractions; GF(7) keeps p > d.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+    else:
+        coeff = st.integers(1, field.p - 1)
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+
+    def poly(degree, max_terms):
+        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, degree)),
+                             min_size=1, max_size=max_terms, unique=True))
+        return Poly(n, field, {m: draw(coeff) for m in mons})
+
+    F = DualForm(poly(d, 8))
+    i = draw(st.integers(0, d))
+    operators = [poly(i, 4) for _ in range(draw(st.integers(1, 4)))]
+    return F, operators, i
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_and_operators())
+def test_pairing_rows_agree_with_differentiation(case):
+    F, operators, i = case
+    assert pairing_rows(F, operators, i) == pairing_rows_naive(F, operators, i)
 
 
 class TestQuotientBasis:
