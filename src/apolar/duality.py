@@ -144,8 +144,13 @@ def _divisors_of_degree(exp: tuple[int, ...], i: int):
 
 
 def hilbert_function(F: DualForm) -> HVector:
-    """h-vector of A_F via catalecticant ranks, degree by degree."""
-    return HVector(tuple(catalecticant(F, i).rank() for i in range(F.degree + 1)))
+    """h-vector of A_F via catalecticant ranks.
+
+    Only degrees i <= d/2 are ranked: catalecticant(F, d - i) is the
+    transpose of catalecticant(F, i), so the rest is their mirror image.
+    """
+    half = [catalecticant(F, i).rank() for i in range(F.degree // 2 + 1)]
+    return HVector(tuple(half + half[:(F.degree + 1) // 2][::-1]))
 
 
 def pairing_rows(F: DualForm, operators: list[Poly], i: int) -> ExactMatrix:

@@ -1,8 +1,11 @@
 """Weak and strong Lefschetz checks, Hessians, and snake-lemma bookkeeping.
 
-The rank of multiplication by ell^k from [A]_i to [A]_{i+k} equals the rank
-of the i-th catalecticant of the contracted dual form ell^k applied to F,
-because that contraction presents the image algebra.  Genericity of ell is
+Every multiplication rank is the Hilbert function of one contraction: the
+rank of multiplication by g from [A]_i to [A]_{i + deg g} is h_{g o F}(i),
+the rank of the i-th catalecticant of g applied to F, because that
+contraction presents the image algebra A/(0 : g).  The weak and strong
+Lefschetz checks and the snake ledger all read their ranks off it; one
+seeded trial loop serves both Lefschetz checks.  Genericity of ell is
 handled Monte-Carlo style over a big prime field: one successful sample is a
 certificate that the property holds (maximal rank is an open condition),
 while uniform failure across seeded trials is reported as failure together
@@ -21,9 +24,7 @@ from .duality import (
     catalecticant,
     contract,
     hilbert_function,
-    monomials_of_degree,
     quotient_basis,
-    span_dimension,
 )
 from .errors import InternalInconsistencyError
 from .fields import PrimeField
@@ -126,12 +127,8 @@ def mult_map_rank(F: DualForm, ell: Poly, i: int, k: int) -> int:
     _require_linear(ell)
     if k < 0 or i < 0 or i + k > F.degree:
         raise ValueError(f"degrees out of range: i={i}, k={k}, d={F.degree}")
-    if k == 0:
-        return catalecticant(F, i).rank()
-    G = diff_action(ell ** k, F.poly)
-    if G.is_zero():
-        return 0
-    return catalecticant(DualForm(G), i).rank()
+    G = contract(ell ** k, F)
+    return 0 if G is None else catalecticant(G, i).rank()
 
 
 def _require_linear(ell: Poly) -> None:
@@ -144,21 +141,25 @@ def _require_prime_field(F: DualForm, what: str) -> None:
         raise ValueError(f"{what} samples generic forms and needs a prime field")
 
 
-def _consecutive_ranks(F: DualForm, ell: Poly) -> list[int]:
-    """achieved rank of x ell from [A]_i to [A]_{i+1} for i = 0..d-1."""
+def _image_ranks(F: DualForm, g: Poly) -> list[int]:
+    """Ranks of multiplication by g from [A]_i to [A]_{i + deg g}, i = 0..d.
+
+    The image of x g is A/(0 : g), presented by g applied to F, so the rank
+    from degree i is h_{g o F}(i): zero past the degree of g o F, and zero in
+    every degree when g annihilates F or has degree above d.
+    """
     d = F.degree
-    B = contract(ell, F)
-    if B is None:
-        return [0] * d
-    h_b = hilbert_function(B)
-    return [h_b[i] if i <= B.degree else 0 for i in range(d)]
+    G = contract(g, F) if g.degree() <= d else None
+    if G is None:
+        return [0] * (d + 1)
+    return list(hilbert_function(G)) + [0] * (d - G.degree)
 
 
 def is_wl_element(F: DualForm, ell: Poly) -> list[DegreeRecord]:
     """Per-degree ranks of multiplication by the given linear form."""
     _require_linear(ell)
     h = hilbert_function(F)
-    achieved = _consecutive_ranks(F, ell)
+    achieved = _image_ranks(F, ell)
     return [
         DegreeRecord(i, 1, min(h[i], h[i + 1]), achieved[i])
         for i in range(F.degree)
@@ -170,6 +171,45 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [master.getrandbits(63) for _ in range(trials)]
 
 
+@dataclass
+class _Search:
+    """Outcome of the seeded trial loop over a list of maps (i, k)."""
+
+    h: HVector
+    ranks: dict[tuple[int, int], int]  # the certificate's, else the best per map
+    misses: tuple[tuple[int, int], ...]  # maps some trial left deficient
+    trials_used: int
+    certificate_trial: int | None
+    certificate_form: str | None
+
+
+def _search(F: DualForm, maps: list[tuple[int, int]], trials: int, seed: int) -> _Search:
+    """Draw one linear form ell per seeded trial and rank x ell^k on every map.
+
+    Stops at the first ell of maximal rank on all maps (i, k), which
+    certifies the property; otherwise keeps the best rank seen per map and
+    the union of the deficient maps over all trials.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    h = hilbert_function(F)
+    expected = {(i, k): min(h[i], h[i + k]) for i, k in maps}
+    best = dict.fromkeys(maps, 0)
+    misses: set[tuple[int, int]] = set()
+    for t, ts in enumerate(_trial_seeds(seed, trials)):
+        ell = random_linear_form(F.n, F.field, random.Random(ts))
+        ranks = {k: _image_ranks(F, ell ** k) for k in {k for _, k in maps}}
+        achieved = {(i, k): ranks[k][i] for i, k in maps}
+        if any(achieved[m] > expected[m] for m in maps):
+            raise InternalInconsistencyError("multiplication rank exceeded its bound")
+        bad = [m for m in maps if achieved[m] < expected[m]]
+        if not bad:
+            return _Search(h, achieved, (), t + 1, t, format_poly(ell, var="x"))
+        best = {m: max(best[m], achieved[m]) for m in maps}
+        misses.update(bad)
+    return _Search(h, best, tuple(sorted(misses)), trials, None, None)
+
+
 def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
     """Monte-Carlo weak Lefschetz check with a reproducibility certificate.
 
@@ -178,48 +218,21 @@ def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
     of the deficient source degrees.
     """
     _require_prime_field(F, "wlp_check")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    h = hilbert_function(F)
     d = F.degree
-    expected = [min(h[i], h[i + 1]) for i in range(d)]
-    best = [0] * d
-    misses: set[int] = set()
-    for t, ts in enumerate(_trial_seeds(seed, trials)):
-        rng = random.Random(ts)
-        ell = random_linear_form(F.n, F.field, rng)
-        achieved = _consecutive_ranks(F, ell)
-        if any(a > e for a, e in zip(achieved, expected)):
-            raise InternalInconsistencyError("multiplication rank exceeded its bound")
-        best = [max(a, b) for a, b in zip(best, achieved)]
-        bad = [i for i in range(d) if achieved[i] < expected[i]]
-        if not bad:
-            records = [DegreeRecord(i, 1, expected[i], achieved[i]) for i in range(d)]
-            return WlpReport(
-                h=h,
-                records=records,
-                verdict=Verdict.HOLDS,
-                failing_degrees=(),
-                dual_failing_degrees=(),
-                trials_used=t + 1,
-                seed=seed,
-                field_description=F.field.describe(),
-                certificate_trial=t,
-                certificate_form=format_poly(ell, var="x"),
-            )
-        misses.update(bad)
-    records = [DegreeRecord(i, 1, expected[i], best[i]) for i in range(d)]
-    failing = tuple(sorted(misses))
-    dual = tuple(sorted({d - i for i in failing}))
+    found = _search(F, [(i, 1) for i in range(d)], trials, seed)
+    h = found.h
+    failing = tuple(i for i, _ in found.misses)
     return WlpReport(
         h=h,
-        records=records,
-        verdict=Verdict.FAILS,
+        records=[DegreeRecord(i, 1, min(h[i], h[i + 1]), found.ranks[(i, 1)]) for i in range(d)],
+        verdict=Verdict.FAILS if failing else Verdict.HOLDS,
         failing_degrees=failing,
-        dual_failing_degrees=dual,
-        trials_used=trials,
+        dual_failing_degrees=tuple(sorted({d - i for i in failing})),
+        trials_used=found.trials_used,
         seed=seed,
         field_description=F.field.describe(),
+        certificate_trial=found.certificate_trial,
+        certificate_form=found.certificate_form,
     )
 
 
@@ -232,61 +245,23 @@ def slp_check(F: DualForm, trials: int, seed: int) -> SlpReport:
     independent of any reduction argument.
     """
     _require_prime_field(F, "slp_check")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    h = hilbert_function(F)
     d = F.degree
     pairs = [(i, k) for k in range(1, d + 1) for i in range(0, d - k + 1)]
-    diag = [(i, d - 2 * i) for i in range(d // 2 + 1)]
-    best: dict[tuple[int, int], int] = {p: 0 for p in pairs}
-    misses: set[tuple[int, int]] = set()
-    for t, ts in enumerate(_trial_seeds(seed, trials)):
-        rng = random.Random(ts)
-        ell = random_linear_form(F.n, F.field, rng)
-        achieved: dict[tuple[int, int], int] = {}
-        for k in range(1, d + 1):
-            G = diff_action(ell ** k, F.poly)
-            if G.is_zero():
-                for i in range(0, d - k + 1):
-                    achieved[(i, k)] = 0
-                continue
-            Gd = DualForm(G)
-            h_g = hilbert_function(Gd)
-            for i in range(0, d - k + 1):
-                achieved[(i, k)] = h_g[i] if i <= Gd.degree else 0
-        if any(achieved[p] > min(h[p[0]], h[p[0] + p[1]]) for p in pairs):
-            raise InternalInconsistencyError("multiplication rank exceeded its bound")
-        bad = [p for p in pairs if achieved[p] < min(h[p[0]], h[p[0] + p[1]])]
-        for p in pairs:
-            best[p] = max(best[p], achieved[p])
-        if not bad:
-            records = [
-                DegreeRecord(i, k, h[i], achieved[(i, k)] if k else h[i])
-                for i, k in diag
-            ]
-            return SlpReport(
-                h=h,
-                records=records,
-                verdict=Verdict.HOLDS,
-                failing_pairs=(),
-                trials_used=t + 1,
-                seed=seed,
-                field_description=F.field.describe(),
-                certificate_trial=t,
-                certificate_form=format_poly(ell, var="x"),
-            )
-        misses.update(bad)
-    records = [
-        DegreeRecord(i, k, h[i], best[(i, k)] if k else h[i]) for i, k in diag
-    ]
+    found = _search(F, pairs, trials, seed)
+    h = found.h
     return SlpReport(
         h=h,
-        records=records,
-        verdict=Verdict.FAILS,
-        failing_pairs=tuple(sorted(misses)),
-        trials_used=trials,
+        records=[
+            DegreeRecord(i, d - 2 * i, h[i], found.ranks[(i, d - 2 * i)] if d > 2 * i else h[i])
+            for i in range(d // 2 + 1)
+        ],
+        verdict=Verdict.FAILS if found.misses else Verdict.HOLDS,
+        failing_pairs=found.misses,
+        trials_used=found.trials_used,
         seed=seed,
         field_description=F.field.describe(),
+        certificate_trial=found.certificate_trial,
+        certificate_form=found.certificate_form,
     )
 
 
@@ -413,7 +388,11 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
         raise ValueError(f"degree of g exceeds socle degree {d}")
     h_a = hilbert_function(F)
     B = contract(g, F)
+    L = contract(ell, F) if d else None
     h_b: tuple[int, ...] = tuple(hilbert_function(B)) if B is not None else ()
+    # x ell on A from degree i, and on B from degree i - s
+    ranks_a = _image_ranks(F, ell)
+    ranks_b = _image_ranks(B, ell) if B is not None else []
 
     def dim_a(j: int) -> int:
         return h_a[j] if 0 <= j <= d else 0
@@ -421,40 +400,29 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
     def dim_b(j: int) -> int:
         return h_b[j] if 0 <= j < len(h_b) else 0
 
-    field = F.field
-    mons = {j: monomials_of_degree(F.n, j) for j in range(d + 2)}
     records = []
     for i in range(d + 1):
         b_dims = (dim_b(i - s), dim_b(i + 1 - s))
         a_dims = (dim_a(i), dim_a(i + 1))
         c_dims = (a_dims[0] - b_dims[0], a_dims[1] - b_dims[1])
-        # left map: x ell on the Gorenstein quotient presented by g o F
-        if B is None or i - s < 0 or i + 1 - s > B.degree:
-            rank_b = 0
-        else:
-            rank_b = mult_map_rank(B, ell, i - s, 1)
-        rank_a = mult_map_rank(F, ell, i, 1) if i + 1 <= d else 0
-        # right map: image of x ell inside [A/(g)]_{i+1}, computed as a span
-        # dimension gain over the submodule g * [A]_{i+1-s}
-        if i + 1 > d:
-            rank_c = 0
-        else:
-            g_ops = (
-                [g * Poly.monomial(F.n, field, m) for m in mons[i + 1 - s]]
-                if i + 1 - s >= 0
-                else []
-            )
-            ell_ops = [ell * Poly.monomial(F.n, field, m) for m in mons[i]]
-            denom = span_dimension(F, g_ops, i + 1)
-            rank_c = span_dimension(F, ell_ops + g_ops, i + 1) - denom
+        # right map: the image of x ell in [A/(g)]_{i+1} is the span of the
+        # pairing rows of ell * x^u and g * x^w, minus the span of g * x^w.
+        # Those rows are the rows of the catalecticants of ell o F at i and
+        # of g o F at i + 1 - s, and the second block has rank h_B(i + 1 - s).
+        rows = []
+        if i < d and L is not None:
+            rows += catalecticant(L, i).entries
+        if i < d and B is not None and i + 1 >= s:
+            rows += catalecticant(B, i + 1 - s).entries
+        rank_c = ExactMatrix(rows, F.field).rank() - b_dims[1] if rows else 0
         records.append(
             SnakeRecord(
                 i=i,
                 dims_b=b_dims,
                 dims_a=a_dims,
                 dims_c=c_dims,
-                rank_b=rank_b,
-                rank_a=rank_a,
+                rank_b=ranks_b[i - s] if 0 <= i - s < len(ranks_b) else 0,
+                rank_a=ranks_a[i],
                 rank_c=rank_c,
             )
         )

@@ -4,7 +4,8 @@ Each oracle deliberately takes a different computational route from the
 library path it checks: Hilbert functions and pairing rows via
 differentiation built out of polynomial arithmetic (not the
 coefficient-times-factorial closed form of the catalecticant),
-multiplication ranks via the perfect pairing on quotient bases,
+multiplication ranks via the perfect pairing on quotient bases, snake
+ledger ranks from those and from spans of naive pairing rows,
 coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
 expansions via exhaustive search, and pivot columns and determinants of
@@ -94,6 +95,39 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
             row.append(full.coefficient((0,) * F.n))
         rows.append(row)
     return ExactMatrix(rows, field).rank()
+
+
+def snake_ranks_naive(F: DualForm, g: Poly, ell: Poly) -> list[tuple[int, int, int]]:
+    """(rank_b, rank_a, rank_c) of the snake ledger for degrees i = 0..d.
+
+    rank_a and rank_b are multiplication ranks by the perfect pairing on A
+    and on B = A/(0 : g), presented by g applied to F; rank_c is the
+    dimension the span of ell * x^u gains in [A]_{i+1} over the span of
+    g * x^w, both measured with `pairing_rows_naive`.
+    """
+    field = F.field
+    d = F.degree
+    s = g.degree()
+    image = diff_action(g, F.poly)
+    B = None if image.is_zero() else DualForm(image)
+
+    def span(ops, j):
+        return pairing_rows_naive(F, ops, j).rank() if ops else 0
+
+    def times(p, j):
+        return [p * Poly.monomial(F.n, field, m) for m in monomials_of_degree(F.n, j)]
+
+    out = []
+    for i in range(d + 1):
+        rank_a = mult_rank_by_pairing(F, ell, i) if i < d else 0
+        j = i - s
+        rank_b = mult_rank_by_pairing(B, ell, j) if B is not None and 0 <= j < B.degree else 0
+        rank_c = 0
+        if i < d:
+            g_ops = times(g, i + 1 - s) if i + 1 >= s else []
+            rank_c = span(times(ell, i) + g_ops, i + 1) - span(g_ops, i + 1)
+        out.append((rank_b, rank_a, rank_c))
+    return out
 
 
 def substitute_naively(matrix, field, p: Poly) -> Poly:

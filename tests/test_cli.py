@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 from jsonschema import validate
@@ -81,19 +84,42 @@ GOLDEN_SNAPSHOTS = {
     "family.json": ("family", "VII", "5", "--seed", "11"),
     "snake.json": ("snake", PERAZZO3, "--seed", "13"),
     "classify.json": ("classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--seed", "3"),
+    "slp.json": ("slp", "X1*X5^3 + X2*X5^2*X6 + X3*X5*X6^2 + X4*X6^3", "--seed", "4"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SNAPSHOTS))
 def test_golden_snapshots(capsys, name):
-    import pathlib
-
     argv = GOLDEN_SNAPSHOTS[name]
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0, err
     stripped = "\n".join(l for l in out.splitlines() if "wall_time_ms" not in l)
     golden = (pathlib.Path(__file__).parent / "golden" / name).read_text().rstrip("\n")
     assert stripped == golden
+
+
+def readme_blocks(lang):
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+README_COMMANDS = [shlex.split(line, comments=True)[1:]
+                   for block in readme_blocks("sh") for line in block.splitlines()
+                   if line.startswith("apolar ")]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_readme_commands_run(capsys, argv):
+    run_json(capsys, *argv, "--json")
+
+
+def test_readme_library_sketch_prints_its_comments(capsys):
+    (code,) = readme_blocks("python")
+    exec(code, {})
+    expected = [line.split("#", 1)[1].strip()
+                for line in code.splitlines() if line.startswith("print(")]
+    assert len(expected) == 3
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_hf_text_output(capsys):

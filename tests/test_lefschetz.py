@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apolar import (
     GF,
@@ -18,6 +19,7 @@ from apolar import (
     hilbert_function,
     inverse_system_sample,
     is_wl_element,
+    monomials_of_degree,
     mult_map_rank,
     orbit_representative,
     parametric_family_form,
@@ -31,7 +33,7 @@ from apolar import (
     wlp_check,
 )
 from apolar.poly import Poly
-from oracles import mult_rank_by_pairing, random_form
+from oracles import mult_rank_by_pairing, random_form, snake_ranks_naive
 
 FP = GF()
 
@@ -175,6 +177,47 @@ class TestSlpCheck:
         F = DF("X1^4 + X2^4 + X3^4", 3, FP)
         report = slp_check(F, trials=3, seed=6)
         assert [(r.i, r.k) for r in report.records] == [(0, 4), (1, 2), (2, 0)]
+
+
+@st.composite
+def prime_forms(draw):
+    """A dual form over the default prime or GF(101), and a master seed."""
+    field = draw(st.sampled_from([FP, GF(101)]))
+    n = draw(st.integers(1, 3))
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, draw(st.integers(1, 5)))),
+                         min_size=1, max_size=8, unique=True))
+    F = DualForm(Poly(n, field, {m: draw(st.integers(1, field.p - 1)) for m in mons}))
+    return F, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_forms())
+def test_certificate_records_are_the_ranks_of_its_form(case):
+    F, seed = case
+    h = hilbert_function(F)
+    for report in (wlp_check(F, trials=3, seed=seed), slp_check(F, trials=3, seed=seed)):
+        assert all(r.achieved <= r.expected for r in report.records)
+        if report.verdict is not Verdict.HOLDS:
+            continue
+        ell = parse_poly(report.certificate_form, F.n, F.field)
+        for r in report.records:
+            want = h[r.i] if r.k == 0 else mult_rank_by_pairing(F, ell, r.i, r.k)
+            assert r.achieved == want
+
+
+@pytest.mark.parametrize("d, failing_degrees, dual_failing_degrees, failing_pairs", [
+    (3, (1,), (2,), ((1, 1),)),
+    (4, (1, 2), (2, 3), ((1, 1), (1, 2), (2, 1))),
+])
+def test_perazzo_failing_maps(d, failing_degrees, dual_failing_degrees, failing_pairs):
+    F = modular(perazzo_dual_form(d))
+    wlp = wlp_check(F, trials=5, seed=4)
+    slp = slp_check(F, trials=5, seed=4)
+    assert wlp.failing_degrees == failing_degrees
+    assert wlp.dual_failing_degrees == dual_failing_degrees
+    assert slp.failing_pairs == failing_pairs
+    for r in wlp.records + slp.records:
+        assert r.achieved <= r.expected
 
 
 class TestHessian:
@@ -479,3 +522,51 @@ class TestSnakeConsistency:
             g = random_form(n, 2, FP, rng).poly
             ell = random_linear_form(n, FP, rng)
             assert snake_consistency(F, g, ell).consistent
+
+
+@st.composite
+def snake_inputs(draw):
+    """F, g of degree 0..d and a linear ell over QQ, GF(7) or the default prime.
+
+    QQ coefficients are non-integral fractions; GF(7) keeps d <= 5.  When F
+    leaves out the last variable x_n, a multiple of x_n annihilates it, which
+    gives annihilating choices of g and of ell.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+    else:
+        coeff = st.integers(1, field.p - 1)
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+    free_last = n > 1 and draw(st.booleans())
+
+    def poly(degree, max_terms, skip_last=False):
+        mons = [m for m in monomials_of_degree(n, degree) if not (skip_last and m[-1])]
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=max_terms,
+                               unique=True))
+        return Poly(n, field, {m: draw(coeff) for m in chosen})
+
+    F = DualForm(poly(d, 8, skip_last=free_last))
+    s = draw(st.integers(0, d))
+    x_n = Poly.variable(n, field, n)
+    if free_last and s >= 1 and draw(st.booleans()):
+        g = x_n * poly(s - 1, 3)
+    else:
+        g = poly(s, 4)
+    ell = x_n if free_last and draw(st.booleans()) else poly(1, n)
+    return F, g, ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(snake_inputs())
+@example((DF("X1^2*X2 + X2^3", 3, GF(7)), parse_poly("x3*x1", 3, GF(7)),
+          parse_poly("x3", 3, GF(7))))
+@example((DF("X1^3 + 1/2*X1*X2^2", 2), parse_poly("3/4", 2), parse_poly("x1 - 2/3*x2", 2)))
+@example((DF("X1^4 + X1*X2^3 + X2^2*X3^2", 3, FP), parse_poly("x1^4 + x3^4", 3, FP),
+          parse_poly("x1 + x2 + x3", 3, FP)))
+def test_snake_ledger_agrees_with_naive_ranks(case):
+    F, g, ell = case
+    ledger = snake_consistency(F, g, ell)
+    got = [(r.rank_b, r.rank_a, r.rank_c) for r in ledger.records]
+    assert got == snake_ranks_naive(F, g, ell)
