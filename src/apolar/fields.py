@@ -16,19 +16,26 @@ from fractions import Fraction
 DEFAULT_PRIME = 2**61 - 1
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the word-sized moduli we accept."""
+#: psi_13, the least strong pseudoprime to every prime base up to 41 (Sorenson
+#: and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+#: 2017): below it, Miller-Rabin with those bases decides primality exactly.
+_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _PRIMALITY_BOUND."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # Known-good witness set for n < 3.3 * 10^24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -93,7 +100,10 @@ class PrimeField:
     """The prime field F_p; payloads are ints in [0, p)."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if not _is_probable_prime(p):
+        if p >= _PRIMALITY_BOUND:
+            raise ValueError(f"modulus {p} is not below {_PRIMALITY_BOUND}, "
+                             "the bound under which primality is certified")
+        if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.zero = 0

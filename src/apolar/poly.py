@@ -13,7 +13,7 @@ degree that is plain descending lex on exponent tuples.
 from __future__ import annotations
 
 import random
-from math import comb, factorial
+from math import factorial
 
 from .fields import QQ, PrimeField
 
@@ -39,10 +39,6 @@ def monomials_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
 
     build((), n, degree)
     return out
-
-
-def count_monomials(n: int, degree: int) -> int:
-    return comb(n + degree - 1, degree)
 
 
 class Poly:

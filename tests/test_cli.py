@@ -235,6 +235,11 @@ class TestExitCodes:
         assert code == 2 and "characteristic p > deg F" in err
         assert "positive" not in err
 
+    def test_uncertified_modulus_is_two(self, capsys):
+        code, out, err = run(capsys, "hf", "X1^3+X2^3", "--field",
+                             "fp:318665857834031151167461", "--json")
+        assert code == 2 and "not prime" in err and not out
+
     def test_internal_inconsistency_is_four(self, capsys, monkeypatch):
         import apolar.cli as cli_module
         monkeypatch.setattr(cli_module, "quadric_ideal_hf",

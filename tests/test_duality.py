@@ -182,6 +182,33 @@ def test_pairing_rows_agree_with_differentiation(case):
     assert pairing_rows(F, operators, i) == pairing_rows_naive(F, operators, i)
 
 
+@st.composite
+def integer_forms(draw):
+    """(n, integer coefficients) of a random nonzero form: degree <= 6, n <= 4."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6 if n < 4 else 5))
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)), min_size=1, max_size=12,
+                         unique=True))
+    return n, {m: draw(st.integers(-30, 30).filter(bool)) for m in mons}
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_forms())
+def test_hilbert_function_over_primes_against_rationals(case):
+    # every catalecticant over F_p is the reduction mod p of the one over QQ,
+    # so its rank can only drop; at the default prime a drop needs p to
+    # divide every maximal minor of some catalecticant
+    n, terms = case
+
+    def hf(field):
+        coefficients = {m: field.from_int(c) for m, c in terms.items()}
+        return tuple(hilbert_function(DualForm(Poly(n, field, coefficients))))
+
+    over_qq = hf(QQ)
+    assert hf(FP) == over_qq
+    assert all(a <= b for a, b in zip(hf(GF(101)), over_qq))
+
+
 class TestQuotientBasis:
     def test_x1x2(self):
         assert quotient_basis(DF("X1*X2", 2), 1) == [(1, 0), (0, 1)]

@@ -16,6 +16,28 @@ def test_composite_modulus_rejected():
         PrimeField(2**61 - 3)
 
 
+# the least strong pseudoprimes to every prime base up to 37 and up to 41
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_strong_pseudoprime_to_bases_up_to_37_rejected():
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(PSI_12)
+
+
+@pytest.mark.parametrize("modulus", [PSI_13, 2**89 - 1])
+def test_moduli_from_the_certified_bound_rejected(modulus):
+    with pytest.raises(ValueError, match=str(PSI_13)):
+        PrimeField(modulus)
+
+
+@pytest.mark.parametrize("modulus", [2**61 - 1, 2**64 - 59])
+def test_word_size_primes_accepted(modulus):
+    assert PrimeField(modulus).p == modulus
+
+
 def test_prime_field_basics():
     f = GF(101)
     assert f.add(100, 5) == 4

@@ -204,3 +204,74 @@ def test_derived_operations_agree_with_oracles(case):
     product = [[reduce(sum(inv[i][k] * entries[k][j] for k in range(n))) for j in range(n)]
                for i in range(n)]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _stress_matrix(kind: str, p: int, rng: random.Random) -> list[list[int]]:
+    """Matrices mod p large enough to fill many slots of a packed row."""
+
+    def dense(rows, cols):
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+    def product(rows, cols, r):
+        a, b = dense(rows, r), dense(r, cols)
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+    if kind == "square":
+        return dense(60, 60)
+    if kind == "tall":
+        return dense(60, 24)
+    if kind == "wide":
+        return dense(24, 60)
+    if kind == "tall low rank":
+        return product(60, 30, 9)
+    if kind == "wide low rank":
+        return product(30, 60, 12)
+    if kind == "all p-1":
+        return [[p - 1] * 40 for _ in range(40)]
+    if kind == "zero rows and columns":
+        inner = dense(30, 30)
+        return [[inner[i // 2][j // 2] if i % 2 == 0 and j % 2 == 1 else 0 for j in range(60)]
+                for i in range(60)]
+    # L U with L unit lower triangular, every entry below the diagonal p - 1,
+    # and U all ones on and above the diagonal: each elimination step adds
+    # (p - 1)^2 to every slot right of the pivot, the largest growth there is
+    assert kind == "largest growth"
+    return [[(int(j >= i) + (p - 1) * min(i, j + 1)) % p for j in range(60)] for i in range(60)]
+
+
+STRESS_KINDS = ["square", "tall", "wide", "tall low rank", "wide low rank", "all p-1",
+                "zero rows and columns", "largest growth"]
+
+
+@pytest.mark.parametrize("kind", STRESS_KINDS)
+@pytest.mark.parametrize("p", [2, 3, 101, FP.p])
+def test_packed_elimination_on_large_matrices(kind, p):
+    rng = random.Random(f"{kind}:{p}")
+    entries = _stress_matrix(kind, p, rng)
+    m = ExactMatrix(entries, GF(p))
+    pivots = m.pivot_columns()
+    assert pivots == column_rank_profile(entries, p)
+    assert m.rank() == len(pivots) == m.transpose().rank()
+    if kind == "all p-1":
+        assert pivots == [0]
+    if kind == "largest growth":
+        assert pivots == list(range(60))
+    free = [c for c in range(m.cols) if c not in pivots]
+    kernel = m.kernel_basis()
+    assert len(kernel) == len(free)
+    for fc, v in zip(free, kernel):
+        assert [sum(a * x for a, x in zip(row, v)) % p for row in entries] == [0] * m.rows
+        assert [v[c] for c in free] == [int(c == fc) for c in free]
+    if m.rows != m.cols:
+        return
+    n = m.rows
+    if len(pivots) < n:
+        assert m.det() == 0
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse_entries()
+        return
+    assert m.det() != 0
+    inv = m.inverse_entries()
+    product = [[sum(entries[i][k] * inv[k][j] for k in range(n)) % p for j in range(n)]
+               for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
