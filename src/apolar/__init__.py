@@ -46,7 +46,6 @@ from .duality import (
     hf_modulo_linear,
     hilbert_function,
     quotient_basis,
-    span_dimension,
 )
 from .errors import HypothesisViolationError, InternalInconsistencyError
 from .fields import DEFAULT_PRIME, GF, QQ, PrimeField, RationalField, field_from_description

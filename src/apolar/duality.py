@@ -8,6 +8,10 @@ and kernels of such pairing matrices.  Every pairing matrix is read off the
 catalecticant: annihilators are its left kernel, and the pairing rows of
 arbitrary operators are combinations of its rows.  (The inverse systems of
 quadric webs in `catalog` are read off the web's ideal rows instead.)
+
+A catalecticant entry is one lookup in F's coefficients scaled by e!, which
+a private record on the form keeps with its h-vector.  The record is filled
+on first use and never changes a result; a race only fills it twice.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class DualForm:
     legitimately land in degree 0 (the algebra is then just the ground field).
     """
 
-    __slots__ = ("poly", "n", "degree", "field")
+    __slots__ = ("poly", "n", "degree", "field", "_record")
 
     def __init__(self, poly: Poly):
         if poly.is_zero():
@@ -92,6 +96,7 @@ class DualForm:
         self.n = poly.n
         self.degree = degree
         self.field = poly.field
+        self._record = None
 
     def __eq__(self, other):
         return isinstance(other, DualForm) and self.poly == other.poly
@@ -100,47 +105,50 @@ class DualForm:
         return f"DualForm(n={self.n}, d={self.degree}, {self.poly!r})"
 
 
+class _Record:
+    """F's coefficients times e!, keyed by `_code(e)`, and its h-vector once ranked."""
+
+    __slots__ = ("scaled", "h")
+
+    def __init__(self, F: DualForm):
+        field, base = F.field, F.degree + 1
+        self.scaled = {
+            _code(e, base): field.mul(c, field.from_int(multi_factorial(e)))
+            for e, c in F.poly.terms.items()
+        }
+        self.h: HVector | None = None
+
+
+def _record(F: DualForm) -> _Record:
+    if F._record is None:
+        F._record = _Record(F)
+    return F._record
+
+
+def _code(exp: tuple[int, ...], base: int) -> int:
+    """The exponent as digits; in base d + 1, codes of degrees i and d - i add like exponents."""
+    code = 0
+    for a in exp:
+        code = code * base + a
+    return code
+
+
 def catalecticant(F: DualForm, i: int) -> ExactMatrix:
     """The pairing matrix between degree-i and degree-(d-i) operator monomials.
 
     Entry (u, v) is the constant (m_u m_v) applied to F, i.e. the coefficient
-    of F at exponent u+v times the product of factorials of u+v.  Rows and
-    columns run over the full monomial bases of the operator ring; the rank
-    agrees with any quotient-basis version.
+    of F at exponent u+v times the product of factorials of u+v: one lookup
+    of the code of u+v in the scaled coefficients kept in F's record.  Rows
+    and columns run over the full monomial bases of the operator ring; the
+    rank agrees with any quotient-basis version.
     """
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
-    field = F.field
-    rows = monomials_of_degree(F.n, i)
-    cols = monomials_of_degree(F.n, d - i)
-    col_index = {e: j for j, e in enumerate(cols)}
-    m = [[field.zero] * len(cols) for _ in rows]
-    row_index = {e: j for j, e in enumerate(rows)}
-    for exp, c in F.poly.terms.items():
-        scale = field.mul(c, field.from_int(multi_factorial(exp)))
-        for u in _divisors_of_degree(exp, i):
-            v = tuple(a - b for a, b in zip(exp, u))
-            m[row_index[u]][col_index[v]] = scale
-    return ExactMatrix(m, field)
-
-
-def _divisors_of_degree(exp: tuple[int, ...], i: int):
-    """All exponents u <= exp componentwise with total degree i."""
-    out: list[tuple[int, ...]] = []
-
-    def build(prefix, pos, remaining):
-        if pos == len(exp):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        lo = max(0, remaining - sum(exp[pos + 1:]))
-        hi = min(exp[pos], remaining)
-        for e in range(hi, lo - 1, -1):
-            build(prefix + [e], pos + 1, remaining - e)
-
-    build([], 0, i)
-    return out
+    lookup, zero = _record(F).scaled.get, F.field.zero
+    rows = [_code(u, d + 1) for u in monomials_of_degree(F.n, i)]
+    cols = [_code(v, d + 1) for v in monomials_of_degree(F.n, d - i)]
+    return ExactMatrix([[lookup(r + c, zero) for c in cols] for r in rows], F.field)
 
 
 def hilbert_function(F: DualForm) -> HVector:
@@ -148,9 +156,13 @@ def hilbert_function(F: DualForm) -> HVector:
 
     Only degrees i <= d/2 are ranked: catalecticant(F, d - i) is the
     transpose of catalecticant(F, i), so the rest is their mirror image.
+    The result is kept in the form's record.
     """
-    half = [catalecticant(F, i).rank() for i in range(F.degree // 2 + 1)]
-    return HVector(tuple(half + half[:(F.degree + 1) // 2][::-1]))
+    record = _record(F)
+    if record.h is None:
+        half = [catalecticant(F, i).rank() for i in range(F.degree // 2 + 1)]
+        record.h = HVector(tuple(half + half[:(F.degree + 1) // 2][::-1]))
+    return record.h
 
 
 def pairing_rows(F: DualForm, operators: list[Poly], i: int) -> ExactMatrix:
@@ -178,21 +190,12 @@ def pairing_rows(F: DualForm, operators: list[Poly], i: int) -> ExactMatrix:
     return ExactMatrix(rows, field)
 
 
-def span_dimension(F: DualForm, operators: list[Poly], i: int) -> int:
-    """Dimension of the span of the given degree-i operators inside [A_F]_i.
-
-    Raises ValueError when an operator has a term of another degree.
-    """
-    if not operators:
-        return 0
-    return pairing_rows(F, operators, i).rank()
-
-
 def ann_degree(F: DualForm, i: int) -> list[Poly]:
     """A basis of the degree-i part of the annihilator of F.
 
     Kernel of the differentiation map R_i -> S_{d-i}, the left kernel of the
-    i-th catalecticant; all of R_i when i > d.
+    i-th catalecticant, i.e. the right kernel of the (d-i)-th; all of R_i
+    when i > d.
     """
     if i < 0:
         raise ValueError("degree must be non-negative")
@@ -200,11 +203,8 @@ def ann_degree(F: DualForm, i: int) -> list[Poly]:
     mons = monomials_of_degree(F.n, i)
     if i > F.degree:
         return [Poly.monomial(F.n, field, e) for e in mons]
-    basis = []
-    for v in catalecticant(F, i).transpose().kernel_basis():
-        terms = {e: c for e, c in zip(mons, v) if not field.is_zero(c)}
-        basis.append(Poly(F.n, field, terms))
-    return basis
+    return [Poly(F.n, field, {e: c for e, c in zip(mons, v) if not field.is_zero(c)})
+            for v in catalecticant(F, F.degree - i).kernel_basis()]
 
 
 def quotient_basis(F: DualForm, i: int) -> list[tuple[int, ...]]:
@@ -212,13 +212,14 @@ def quotient_basis(F: DualForm, i: int) -> list[tuple[int, ...]]:
 
     Greedy in descending graded-lex order: a monomial is kept exactly when
     its catalecticant row is independent of the rows before it, so the
-    result is the row rank profile, the pivot columns of the transpose.
+    result is the row rank profile, the pivot columns of the transpose,
+    which is the (d-i)-th catalecticant.
     """
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"degree {i} outside 0..{d}")
     mons = monomials_of_degree(F.n, i)
-    return [mons[j] for j in catalecticant(F, i).transpose().pivot_columns()]
+    return [mons[j] for j in catalecticant(F, d - i).pivot_columns()]
 
 
 def contract(g: Poly, F: DualForm) -> DualForm | None:

@@ -148,11 +148,12 @@ def _image_ranks(F: DualForm, g: Poly) -> list[int]:
     from degree i is h_{g o F}(i): zero past the degree of g o F, and zero in
     every degree when g annihilates F or has degree above d.
     """
-    d = F.degree
-    G = contract(g, F) if g.degree() <= d else None
-    if G is None:
-        return [0] * (d + 1)
-    return list(hilbert_function(G)) + [0] * (d - G.degree)
+    return _padded_h(contract(g, F) if g.degree() <= F.degree else None, F.degree)
+
+
+def _padded_h(G: DualForm | None, d: int) -> list[int]:
+    """h_G in degrees 0..d, zero past its socle degree and everywhere for None."""
+    return [0] * (d + 1) if G is None else list(hilbert_function(G)) + [0] * (d - G.degree)
 
 
 def is_wl_element(F: DualForm, ell: Poly) -> list[DegreeRecord]:
@@ -391,7 +392,7 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
     L = contract(ell, F) if d else None
     h_b: tuple[int, ...] = tuple(hilbert_function(B)) if B is not None else ()
     # x ell on A from degree i, and on B from degree i - s
-    ranks_a = _image_ranks(F, ell)
+    ranks_a = _padded_h(L, d)
     ranks_b = _image_ranks(B, ell) if B is not None else []
 
     def dim_a(j: int) -> int:

@@ -13,7 +13,7 @@ degree that is plain descending lex on exponent tuples.
 from __future__ import annotations
 
 import random
-from math import factorial
+from math import factorial, prod
 
 from .fields import QQ, PrimeField
 
@@ -357,7 +357,4 @@ def random_linear_change(n: int, field: PrimeField, rng: random.Random) -> Linea
 
 def multi_factorial(exp: tuple[int, ...]) -> int:
     """Product of the factorials of the entries."""
-    out = 1
-    for e in exp:
-        out *= factorial(e)
-    return out
+    return prod(map(factorial, exp))

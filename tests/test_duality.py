@@ -13,6 +13,7 @@ from apolar import (
     ann_degree,
     catalecticant,
     contract,
+    diff_action,
     hf_modulo_linear,
     hilbert_function,
     is_o_sequence,
@@ -21,7 +22,8 @@ from apolar import (
     perazzo_dual_form,
     quotient_basis,
     random_linear_form,
-    span_dimension,
+    snake_consistency,
+    wlp_check,
 )
 from apolar.duality import pairing_rows
 from oracles import (
@@ -147,7 +149,7 @@ class TestPairingRows:
     def test_wrong_degree_operators_rejected(self, field, text):
         F = DF("X1^3 + X2^3", 2, field)
         with pytest.raises(ValueError, match="degree 1"):
-            span_dimension(F, [parse_poly(text, 2, field)], 1)
+            pairing_rows(F, [parse_poly(text, 2, field)], 1)
 
 
 @st.composite
@@ -180,6 +182,60 @@ def form_and_operators(draw):
 def test_pairing_rows_agree_with_differentiation(case):
     F, operators, i = case
     assert pairing_rows(F, operators, i) == pairing_rows_naive(F, operators, i)
+    basis = [Poly.monomial(F.n, F.field, e) for e in monomials_of_degree(F.n, i)]
+    assert catalecticant(F, i) == pairing_rows_naive(F, basis, i)
+
+
+# each call reads or fills the private record of the form it is given
+RECORD_CALLS = {
+    "hilbert_function": lambda F, i, ell, g: tuple(hilbert_function(F)),
+    "ann_degree": lambda F, i, ell, g: ann_degree(F, i),
+    "quotient_basis": lambda F, i, ell, g: quotient_basis(F, min(i, F.degree)),
+    "hf_modulo_linear": lambda F, i, ell, g: hf_modulo_linear(F, ell),
+    "snake_consistency": lambda F, i, ell, g: snake_consistency(F, g, ell).to_dict(),
+    "wlp_check": lambda F, i, ell, g: wlp_check(F, 2, i).to_dict(),
+}
+
+
+@st.composite
+def form_and_calls(draw):
+    """A dual form, a linear form, a form g of degree <= d, and calls in a drawn order.
+
+    The degree argument of a call runs to d + 1, past the socle degree;
+    `wlp_check` is drawn only over the prime fields it accepts.
+    """
+    F, _, _ = draw(form_and_operators())
+    field, n, d = F.field, F.n, F.degree
+    coefficients = sorted(set(F.poly.terms.values()))
+
+    def poly(degree):
+        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, degree)),
+                             min_size=1, max_size=3, unique=True))
+        return Poly(n, field, {m: draw(st.sampled_from(coefficients)) for m in mons})
+
+    names = [name for name in RECORD_CALLS if field != QQ or name != "wlp_check"]
+    calls = draw(st.lists(st.tuples(st.sampled_from(names), st.integers(0, d + 1)),
+                          min_size=1, max_size=8))
+    return F, poly(1), poly(draw(st.integers(0, d))), calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_and_calls())
+def test_form_record_is_invisible(case):
+    # whatever call fills the record first, every result on the shared form
+    # equals the one on a fresh form; the oracles, which never touch a
+    # record, catch a record that leaks between forms
+    F, ell, g, calls = case
+    for name, i in calls:
+        call = RECORD_CALLS[name]
+        assert call(F, i, ell, g) == call(DualForm(F.poly), i, ell, g), name
+    assert F == DualForm(F.poly)
+    h_a = hilbert_function(F)
+    assert tuple(h_a) == hf_by_kernels(F)
+    image = diff_action(ell, F.poly)
+    h_b = () if image.is_zero() else hf_by_kernels(DualForm(image))
+    assert hf_modulo_linear(F, ell) == tuple(
+        h - (h_b[i - 1] if 0 < i <= len(h_b) else 0) for i, h in enumerate(h_a))
 
 
 @st.composite
