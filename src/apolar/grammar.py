@@ -50,7 +50,7 @@ class _Scanner:
 def parse_poly(text: str, n: int, field=QQ) -> Poly:
     """Parse grammar text into a polynomial with ``n`` ambient variables."""
     sc = _Scanner(text)
-    result = Poly.zero(n, field)
+    terms: dict = {}
     sc.skip_ws()
     if sc.pos == len(text):
         raise ParseError("empty input", 0)
@@ -64,16 +64,18 @@ def parse_poly(text: str, n: int, field=QQ) -> Poly:
             sc.skip_ws()
         elif not first:
             raise ParseError("expected '+' or '-' between terms", sc.pos)
-        result = result + _parse_term(sc, n, field, sign)
+        exp, coeff = _parse_term(sc, n, field, sign)
+        terms[exp] = field.add(terms.get(exp, field.zero), coeff)
         first = False
         sc.skip_ws()
         if sc.pos == len(text):
-            return result
+            return Poly(n, field, terms)
         if sc.peek() not in "+-":
             raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
 
 
-def _parse_term(sc: _Scanner, n: int, field, sign: int) -> Poly:
+def _parse_term(sc: _Scanner, n: int, field, sign: int) -> tuple[tuple[int, ...], object]:
+    """One term as (exponent, signed coefficient); the coefficient may be zero."""
     sc.skip_ws()
     coeff = field.one
     have_coeff = False
@@ -123,7 +125,7 @@ def _parse_term(sc: _Scanner, n: int, field, sign: int) -> Poly:
         raise ParseError("empty term", sc.pos)
     if sign < 0:
         coeff = field.neg(coeff)
-    return Poly(n, field, {tuple(exp): coeff})
+    return tuple(exp), coeff
 
 
 def _format_coeff(c, field) -> str:

@@ -5,11 +5,13 @@ rank of multiplication by g from [A]_i to [A]_{i + deg g} is h_{g o F}(i),
 the rank of the i-th catalecticant of g applied to F, because that
 contraction presents the image algebra A/(0 : g).  The weak and strong
 Lefschetz checks and the snake ledger all read their ranks off it; one
-seeded trial loop serves both Lefschetz checks.  Genericity of ell is
-handled Monte-Carlo style over a big prime field: one successful sample is a
-certificate that the property holds (maximal rank is an open condition),
-while uniform failure across seeded trials is reported as failure together
-with the data needed to re-run the experiment.
+seeded trial loop serves both Lefschetz checks.  Powers of a linear form
+are never expanded: ell^k o F = ell o (ell^{k-1} o F), so the forms
+ell^k o F for k = 1..d are a chain of d contractions by ell.  Genericity
+of ell is handled Monte-Carlo style over a big prime field: one successful
+sample is a certificate that the property holds (maximal rank is an open
+condition), while uniform failure across seeded trials is reported as
+failure together with the data needed to re-run the experiment.
 """
 
 from __future__ import annotations
@@ -127,8 +129,21 @@ def mult_map_rank(F: DualForm, ell: Poly, i: int, k: int) -> int:
     _require_linear(ell)
     if k < 0 or i < 0 or i + k > F.degree:
         raise ValueError(f"degrees out of range: i={i}, k={k}, d={F.degree}")
-    G = contract(ell ** k, F)
+    G = _power_chain(F, ell, k)[k]
     return 0 if G is None else catalecticant(G, i).rank()
+
+
+def _power_chain(F: DualForm, ell: Poly, top: int) -> list[DualForm | None]:
+    """ell^k o F for k = 0..top <= d, each entry ell applied to the one before.
+
+    ell^k o F = ell o (ell^{k-1} o F), so no power of ell is expanded.  Once
+    an entry is None (ell^k annihilates F) every later entry is None.
+    """
+    chain: list[DualForm | None] = [F]
+    for _ in range(top):
+        G = chain[-1]
+        chain.append(None if G is None else contract(ell, G))
+    return chain
 
 
 def _require_linear(ell: Poly) -> None:
@@ -195,11 +210,13 @@ def _search(F: DualForm, maps: list[tuple[int, int]], trials: int, seed: int) ->
         raise ValueError("need at least one trial")
     h = hilbert_function(F)
     expected = {(i, k): min(h[i], h[i + k]) for i, k in maps}
+    powers = {k for _, k in maps}
     best = dict.fromkeys(maps, 0)
     misses: set[tuple[int, int]] = set()
     for t, ts in enumerate(_trial_seeds(seed, trials)):
         ell = random_linear_form(F.n, F.field, random.Random(ts))
-        ranks = {k: _image_ranks(F, ell ** k) for k in {k for _, k in maps}}
+        chain = _power_chain(F, ell, max(powers, default=0))
+        ranks = {k: _padded_h(chain[k], F.degree) for k in powers}
         achieved = {(i, k): ranks[k][i] for i, k in maps}
         if any(achieved[m] > expected[m] for m in maps):
             raise InternalInconsistencyError("multiplication rank exceeded its bound")

@@ -85,6 +85,7 @@ GOLDEN_SNAPSHOTS = {
     "snake.json": ("snake", PERAZZO3, "--seed", "13"),
     "classify.json": ("classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--seed", "3"),
     "slp.json": ("slp", "X1*X5^3 + X2*X5^2*X6 + X3*X5*X6^2 + X4*X6^3", "--seed", "4"),
+    "slp_holds.json": ("slp", "X1^5 + X2^5 + X3^5 + X1*X2*X3^3", "--seed", "7"),
 }
 
 

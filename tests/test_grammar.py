@@ -15,6 +15,11 @@ def test_repeated_factor_normalizes():
     assert parse_poly("X1*X1", 2) == parse_poly("X1^2", 2)
 
 
+def test_repeated_terms_combine_and_cancel():
+    assert parse_poly("X1 + 2*X2 - X1 + 1/2*X2", 2).terms == {(0, 1): Fraction(5, 2)}
+    assert parse_poly("3*X1^2 + 4*X1*X1", 2, GF(7)).is_zero()
+
+
 def test_out_of_range_variable():
     with pytest.raises(ParseError) as err:
         parse_poly("X5", 4)

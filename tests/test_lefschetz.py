@@ -32,6 +32,7 @@ from apolar import (
     snake_consistency,
     wlp_check,
 )
+from apolar.lefschetz import _power_chain
 from apolar.poly import Poly
 from oracles import mult_rank_by_pairing, random_form, snake_ranks_naive
 
@@ -570,3 +571,18 @@ def test_snake_ledger_agrees_with_naive_ranks(case):
     ledger = snake_consistency(F, g, ell)
     got = [(r.rank_b, r.rank_a, r.rank_c) for r in ledger.records]
     assert got == snake_ranks_naive(F, g, ell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(snake_inputs())
+@example((DF("X1^3 + X1^2*X2", 2, GF(7)), None, parse_poly("x2", 2, GF(7))))
+@example((DF("X1^2*X2 + 1/3*X2^3", 3), None, parse_poly("x1 - 1/2*x2", 3)))
+def test_power_chain_matches_expanded_powers(case):
+    # the snake inputs' ell may miss variables, and ell = x_n on an F free
+    # of x_n (or of low degree in x_n) drives the chain to None early
+    F, _, ell = case
+    chain = _power_chain(F, ell, F.degree)
+    assert len(chain) == F.degree + 1
+    for k, G in enumerate(chain):
+        want = diff_action(ell ** k, F.poly)
+        assert (None if G is None else G.poly) == (None if want.is_zero() else want)
