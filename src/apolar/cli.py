@@ -16,6 +16,7 @@ import json
 import re
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .bounds import binom_expansion, gotzmann_values, green_bound, is_o_sequence, macaulay_bound
@@ -62,6 +63,7 @@ def _common_flags(parser: argparse.ArgumentParser, randomized: bool) -> None:
                         help="read the polynomial/web text from a file")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apolar",

@@ -12,11 +12,16 @@ quadric webs in `catalog` are read off the web's ideal rows instead.)
 A catalecticant entry is one lookup in F's coefficients scaled by e!, which
 a private record on the form keeps with its h-vector.  The record is filled
 on first use and never changes a result; a race only fills it twice.
+
+Ann(F) is an ideal of the operator ring, a domain, so once it is zero in
+one degree it is zero in every lower degree; the Hilbert function ranks
+catalecticants from the middle down and stops at the first injective one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .fields import PrimeField
 from .linalg import ExactMatrix
@@ -156,11 +161,22 @@ def hilbert_function(F: DualForm) -> HVector:
 
     Only degrees i <= d/2 are ranked: catalecticant(F, d - i) is the
     transpose of catalecticant(F, i), so the rest is their mirror image.
-    The result is kept in the form's record.
+    They are ranked from d/2 down, and the walk stops at the first
+    catalecticant of full row rank: Ann(F) is an ideal of a domain, so
+    Ann(F)_i = 0 forces Ann(F)_j = 0 for every j < i (x_1^(i-j) times a
+    nonzero annihilator of degree j would be one of degree i), and then
+    h_j = dim R_j.  The result is kept in the form's record.
     """
     record = _record(F)
     if record.h is None:
-        half = [catalecticant(F, i).rank() for i in range(F.degree // 2 + 1)]
+        half = []
+        for i in range(F.degree // 2, -1, -1):
+            cat = catalecticant(F, i)
+            half.append(cat.rank())
+            if half[-1] == cat.rows:
+                half += [comb(F.n - 1 + j, j) for j in range(i - 1, -1, -1)]
+                break
+        half.reverse()
         record.h = HVector(tuple(half + half[:(F.degree + 1) // 2][::-1]))
     return record.h
 

@@ -13,6 +13,7 @@ degree that is plain descending lex on exponent tuples.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import factorial, prod
 
 from .fields import QQ, PrimeField
@@ -23,11 +24,17 @@ def monomials_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
 
     The list has C(n + degree - 1, degree) entries and the order is
     deterministic: (2,0,0) > (1,1,0) > (1,0,1) > (0,2,0) > ...
+    Each call returns a fresh list, copied from a cache per (n, degree).
     """
     if n < 1:
         raise ValueError("need at least one variable")
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    return list(_monomials(n, degree))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 
     def build(prefix: tuple[int, ...], remaining_vars: int, remaining_deg: int) -> None:
@@ -38,7 +45,7 @@ def monomials_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
             build(prefix + (e,), remaining_vars - 1, remaining_deg - e)
 
     build((), n, degree)
-    return out
+    return tuple(out)
 
 
 class Poly:

@@ -6,7 +6,7 @@ import shlex
 import pytest
 from jsonschema import validate
 
-from apolar.cli import SCHEMA_VERSION, main
+from apolar.cli import SCHEMA_VERSION, _build_parser, main
 
 #: Envelope every JSON report must satisfy.
 REPORT_SCHEMA = {
@@ -192,6 +192,24 @@ def test_threads_flag_is_rejected(capsys):
         main(["hf", "X1^2*X2", "--json", "--threads", "4"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_left_unchanged_by_use(capsys):
+    # main reuses one parser; a failed and a successful call leave its help
+    # and its next parse as a fresh parser gives them
+    with pytest.raises(SystemExit):
+        main(["wlp", "X1^2", "--bogus"])
+    assert run(capsys, "hf", "X1^2*X2", "--field", "q")[0] == 0
+    assert _build_parser() is _build_parser()
+    fresh = _build_parser.__wrapped__()
+    for argv in ([], ["hf"], ["snake"]):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(argv + ["--help"])
+        used = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv + ["--help"])
+        assert capsys.readouterr().out == used
+    assert _build_parser().parse_args(["hf", "X1"]) == fresh.parse_args(["hf", "X1"])
 
 
 class TestExitCodes:

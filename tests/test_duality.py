@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from apolar import (
     GF,
     QQ,
     DualForm,
     HVector,
+    OrbitLabel,
     Poly,
     ann_degree,
     catalecticant,
@@ -16,8 +19,10 @@ from apolar import (
     diff_action,
     hf_modulo_linear,
     hilbert_function,
+    inverse_system_sample,
     is_o_sequence,
     monomials_of_degree,
+    orbit_representative,
     parse_poly,
     perazzo_dual_form,
     quotient_basis,
@@ -25,6 +30,7 @@ from apolar import (
     snake_consistency,
     wlp_check,
 )
+from apolar import duality
 from apolar.duality import pairing_rows
 from oracles import (
     ann_dimension_by_kernel,
@@ -109,6 +115,24 @@ class TestHilbertFunction:
             d = rng.randrange(2, 6)
             F = random_form(n, d, FP, rng)
             assert tuple(hilbert_function(F)) == hf_by_kernels(F)
+
+    @pytest.mark.parametrize("F, degrees, h", [
+        (random_form(5, 8, FP, random.Random(8), density=1.0), [4],
+         (1, 5, 15, 35, 70, 35, 15, 5, 1)),
+        (DualForm(perazzo_dual_form(5).poly.map_to_field(FP)), [2, 1], (1, 7, 7, 7, 7, 1)),
+    ], ids=["generic-5-8", "perazzo-5"])
+    def test_ranks_down_to_the_first_injective_catalecticant(self, monkeypatch, F, degrees, h):
+        # the h-vectors are those of a compressed form and of the trivial
+        # extension (1, d+2, ..., d+2, 1)
+        built = []
+
+        def counting(form, i):
+            built.append(i)
+            return catalecticant(form, i)
+
+        monkeypatch.setattr(duality, "catalecticant", counting)
+        assert tuple(hilbert_function(F)) == h
+        assert built == degrees
 
 
 class TestAnnDegree:
@@ -263,6 +287,71 @@ def test_hilbert_function_over_primes_against_rationals(case):
     over_qq = hf(QQ)
     assert hf(FP) == over_qq
     assert all(a <= b for a, b in zip(hf(GF(101)), over_qq))
+
+
+LABELS = [label for label in OrbitLabel if label is not OrbitLabel.UNKNOWN]
+
+
+@st.composite
+def low_injective_forms(draw):
+    """A form whose catalecticants, from the middle down, mostly turn injective below d/2.
+
+    Over QQ (non-integral fractions), GF(7) with d <= 5, or the default
+    prime: a Perazzo form with drawn coefficients, X_1^d plus a form in
+    fewer variables, a sum of forms in disjoint variables, an inverse-system
+    sample of a catalog web (prime fields only), or a contraction of a form
+    down to degree 0 or 1.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+    else:
+        coeff = st.integers(1, field.p - 1)
+    top = 5 if field == GF(7) else 6
+    kinds = ["perazzo", "power", "disjoint", "contraction"]
+    kind = draw(st.sampled_from(kinds + (["inverse_system"] if field != QQ else [])))
+
+    def poly(n, degree, variables, max_terms=6):
+        mons = [m for m in monomials_of_degree(n, degree)
+                if all(e == 0 or j in variables for j, e in enumerate(m))]
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=max_terms,
+                               unique=True))
+        return Poly(n, field, {m: draw(coeff) for m in chosen})
+
+    if kind == "perazzo":
+        terms = perazzo_dual_form(draw(st.integers(3, top))).poly.terms
+        return DualForm(Poly(len(next(iter(terms))), field, {e: draw(coeff) for e in terms}))
+    if kind == "inverse_system":
+        web = orbit_representative(draw(st.sampled_from(LABELS)), field)
+        return inverse_system_sample(web, draw(st.integers(2, top)), draw(st.integers(0, 99)))
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, top))
+    if kind == "power":
+        fewer = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        F = Poly.variable(n, field, 1) ** d + poly(n, d, fewer)
+    elif kind == "disjoint":
+        first = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        F = poly(n, d, first) + poly(n, d, set(range(n)) - first)
+    else:
+        g = poly(n, max(d - draw(st.integers(0, 1)), 0), set(range(n)), max_terms=3)
+        F = diff_action(g, poly(n, d, set(range(n)), max_terms=8))
+    assume(not F.is_zero())
+    return DualForm(F)
+
+
+@settings(max_examples=120, deadline=None)
+@given(low_injective_forms())
+@example(DF("X1^4 + X2^4 + X3^4 + X4^4", 4))
+@example(DualForm(perazzo_dual_form(6).poly.map_to_field(FP)))
+def test_hilbert_function_stops_at_the_first_injective_catalecticant(F):
+    # no catalecticant below the first injective one is ranked, and none
+    # above it is skipped: every one from d/2 down to it is built once
+    want = hf_by_kernels(F)
+    with mock.patch.object(duality, "catalecticant", wraps=duality.catalecticant) as built:
+        assert tuple(hilbert_function(F)) == want
+    injective = max(i for i in range(F.degree // 2 + 1) if want[i] == comb(F.n - 1 + i, i))
+    assert [call.args[1] for call in built.call_args_list] == list(
+        range(F.degree // 2, injective - 1, -1))
 
 
 class TestQuotientBasis:

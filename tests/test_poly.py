@@ -43,6 +43,18 @@ class TestMonomialEnumeration:
                 assert len(mons) == comb(n + d - 1, d)
                 assert mons == sorted(mons, reverse=True)
 
+    def test_each_call_returns_a_fresh_list(self):
+        first = monomials_of_degree(3, 2)
+        first.clear()
+        assert monomials_of_degree(3, 2) == [
+            (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            monomials_of_degree(0, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            monomials_of_degree(2, -1)
+
 
 class TestArithmetic:
     def test_add_cancellation(self):
