@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 from .duality import DualForm, hilbert_function
@@ -275,14 +275,11 @@ def _reduce_to_three_variables(web: QuadricWeb, kernel_vec) -> list[Poly]:
     """Change coordinates so the common kernel is the last variable; drop it."""
     field = web.field
     pivot = next(i for i, x in enumerate(kernel_vec) if not field.is_zero(x))
-    cols = [[field.one if r == j else field.zero for r in range(4)]
-            for j in range(4) if j != pivot][:3]
-    cols.append(list(kernel_vec))
-    matrix = [[cols[j][i] for j in range(4)] for i in range(4)]
-    change = LinearChange(matrix, field)
+    others = [j for j in range(4) if j != pivot]
+    matrix = [[field.one if i == j else field.zero for j in others] + [kernel_vec[i]]
+              for i in range(4)]
     reduced = []
-    for q in web.quadrics:
-        t = change.apply(q)
+    for t in web.transformed(LinearChange(matrix, field)).quadrics:
         terms = {}
         for e, c in t.terms.items():
             if e[3] != 0:
@@ -310,39 +307,23 @@ def _dual_pencil(reduced: list[Poly]):
     return out
 
 
-def _poly_det(entries, n: int, field) -> Poly:
-    """Leibniz determinant of a small matrix of polynomials."""
-    size = len(entries)
-    total = Poly.zero(n, field)
-    for perm in permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Poly.constant(n, field, field.one if sign > 0 else field.neg(field.one))
-        for i in range(size):
-            term = term * entries[i][perm[i]]
-        total = total + term
-    return total
+def _pencil_det(m1, m2, p: int) -> list[int]:
+    """Binary form det(alpha*m1 + beta*m2) over F_p as a coefficient list.
 
-
-def _pencil_form(m1, m2, field) -> list[list[Poly]]:
-    """Matrix with binary-form entries alpha*m1 + beta*m2."""
+    Entry j is the coefficient of alpha^(e-j) beta^j, where e is the size of
+    the matrices; each Leibniz term multiplies out its linear factors.
+    """
     size = len(m1)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            terms = {}
-            if not field.is_zero(m1[i][j]):
-                terms[(1, 0)] = m1[i][j]
-            if not field.is_zero(m2[i][j]):
-                terms[(0, 1)] = m2[i][j]
-            row.append(Poly(2, field, terms))
-        out.append(row)
-    return out
+    total = [0] * (size + 1)
+    for perm in permutations(range(size)):
+        term = [1]
+        for i, j in enumerate(perm):
+            a, b = m1[i][j], m2[i][j]
+            term = [(x * a + y * b) % p for x, y in zip(term + [0], [0] + term)]
+        if sum(perm[i] > perm[j] for i, j in combinations(range(size), 2)) % 2:
+            term = [-x for x in term]
+        total = [(x + y) % p for x, y in zip(total, term)]
+    return total
 
 
 # univariate helpers over F_p; coefficient lists are low-degree first
@@ -416,94 +397,69 @@ def _yun_signature(c, p) -> tuple[int, ...]:
     return tuple(sig)
 
 
-def _binary_signature(form: Poly, rng: random.Random) -> tuple[int, ...] | None:
+def _binary_signature(coeffs: list[int], p: int) -> tuple[int, ...] | None:
     """Squarefree signature of a binary form, or None for the zero form.
 
-    A random coordinate change moves all roots away from infinity before
-    dehomogenizing, so the signature is that of the projective root divisor.
+    ``coeffs[j]`` is the coefficient of alpha^(e-j) beta^j.  The roots other
+    than beta = 0 are those of the chart beta = 1, a polynomial in alpha; the
+    root beta = 0 has the multiplicity m of the first nonzero coefficient and
+    adds one linear factor to entry m-1.  A projective change of coordinates
+    keeps the multiset of (factor degree, multiplicity), so every chart gives
+    the signature of the projective root divisor.
     """
-    if form.is_zero():
+    m = next((j for j, c in enumerate(coeffs) if c), None)
+    if m is None:
         return None
-    field = form.field
-    p = field.p
-    e = form.degree()
-    for _ in range(8):
-        g = random_linear_change(2, field, rng)
-        t = g.apply(form)
-        coeffs = [t.terms.get((e - j, j), 0) for j in range(e + 1)]
-        univ = coeffs[::-1]  # coefficient of beta^j becomes coefficient of t^(e-j)
-        if univ[-1] == 0:
-            continue
-        return _yun_signature(univ, p)
-    raise InternalInconsistencyError("failed to dehomogenize a binary form")
+    sig = list(_yun_signature(coeffs[::-1], p))
+    sig += [0] * (len(coeffs) - 1 - len(sig))
+    if m:
+        sig[m - 1] += 1
+    return tuple(sig)
 
 
-def _rank_one_locus_degree(pencil, field, rng: random.Random) -> int:
+def _rank_one_locus_degree(pencil, p: int) -> int:
     """Number of distinct rank-<=1 members of a pencil of symmetric matrices.
 
-    Computed as the degree of the squarefree part of the gcd of all 2x2
-    minors along the pencil, after a shared random basis change keeps common
-    roots off infinity.
+    These are the common roots of the 2x2 minors along the pencil: the
+    squarefree degree of the gcd of the minors in the chart beta = 1, plus
+    one when beta = 0 is a root of every nonzero minor.
     """
-    p = field.p
-    for _ in range(8):
-        g = random_linear_change(2, field, rng)
-        entries = _pencil_form(*pencil, field)
-        size = len(entries)
-        gcd_poly: list[int] | None = None
-        degenerate = False
-        for r1 in range(size):
-            for r2 in range(r1 + 1, size):
-                for c1 in range(size):
-                    for c2 in range(c1 + 1, size):
-                        minor = (
-                            entries[r1][c1] * entries[r2][c2]
-                            - entries[r1][c2] * entries[r2][c1]
-                        )
-                        if minor.is_zero():
-                            continue
-                        t = g.apply(minor)
-                        univ = _utrim([t.terms.get((2 - j, j), 0) for j in range(3)][::-1])
-                        if len(univ) - 1 < 2:
-                            # the change sent a root of this minor to infinity
-                            degenerate = True
-                            break
-                        gcd_poly = univ if gcd_poly is None else _ugcd(gcd_poly, univ, p)
-                    if degenerate:
-                        break
-                if degenerate:
-                    break
-            if degenerate:
-                break
-        if degenerate:
-            continue
-        if gcd_poly is None:
-            raise InternalInconsistencyError("pencil of quadrics is entirely rank one")
-        gcd_poly = _utrim(gcd_poly[:])
-        if len(gcd_poly) - 1 == 0:
-            return 0
-        repeated = _ugcd(gcd_poly, _uderiv(gcd_poly, p), p)
-        return (len(gcd_poly) - 1) - (len(repeated) - 1)
-    raise InternalInconsistencyError("failed to normalize the rank-one locus")
+    m1, m2 = pencil
+    pairs = list(combinations(range(len(m1)), 2))
+    minors = []
+    for rows in pairs:
+        for cols in pairs:
+            minor = _pencil_det([[m1[r][c] for c in cols] for r in rows],
+                                [[m2[r][c] for c in cols] for r in rows], p)
+            if any(minor):
+                minors.append(minor)
+    if not minors:
+        raise InternalInconsistencyError("pencil of quadrics is entirely rank one")
+    common: list[int] = []
+    for minor in minors:
+        common = _ugcd(common, minor[::-1], p)
+    repeated = _ugcd(common, _uderiv(common, p), p)
+    at_infinity = all(minor[0] == 0 for minor in minors)
+    return len(common) - len(repeated) + int(at_infinity)
 
 
 def _quartic_signature(web: QuadricWeb, rng: random.Random) -> tuple[int, ...] | None:
     """Squarefree signature of the determinant along a random member pencil."""
     field = web.field
+    p = field.p
+    mats = [_symmetric_matrix(q, 4) for q in web.quadrics]
     for _ in range(8):
         ms = []
         for _ in range(2):
             coeffs = [field.rand(rng) for _ in range(4)]
-            member = Poly.zero(4, field)
-            for c, q in zip(coeffs, web.quadrics):
-                member = member + q.scale(c)
-            if member.is_zero():
+            member = [[sum(c * s[i][j] for c, s in zip(coeffs, mats)) % p for j in range(4)]
+                      for i in range(4)]
+            if not any(map(any, member)):
                 break
-            ms.append(_symmetric_matrix(member, 4))
+            ms.append(member)
         if len(ms) < 2:
             continue
-        det = _poly_det(_pencil_form(ms[0], ms[1], field), 2, field)
-        sig = _binary_signature(det, rng)
+        sig = _binary_signature(_pencil_det(ms[0], ms[1], p), p)
         if sig is not None:
             return sig
     return None
@@ -518,6 +474,13 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
     in the four-variable branch, of the canonical dual pencil in the
     three-variable branch); and the rank-one locus of the dual pencil.  Webs
     outside the catalog orbits may come back Unknown.
+
+    Two steps sample from the seed: the coordinate changes of the three
+    ``gin2`` trials, and the two random members spanning the web's pencil in
+    the four-variable branch.  The rest is read deterministically: the
+    Hilbert function, the common kernel, and the squarefree signatures and
+    rank-one count of binary forms, which are read in the fixed chart
+    beta = 1 with the root beta = 0 counted apart.
     """
     if not isinstance(web.field, PrimeField):
         raise ValueError("classification runs over a prime field")
@@ -568,10 +531,10 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
     pencil = _dual_pencil(_reduce_to_three_variables(web, kernel[0]))
     if pencil is None:
         return done(OrbitLabel.UNKNOWN)
-    det = _poly_det(_pencil_form(*pencil, web.field), 2, web.field)
-    if det.is_zero():
+    det = _pencil_det(*pencil, web.field.p)
+    if not any(det):
         evidence["dual_pencil_det_signature"] = "zero"
-        r1 = _rank_one_locus_degree(pencil, web.field, rng)
+        r1 = _rank_one_locus_degree(pencil, web.field.p)
         evidence["rank_one_points"] = r1
         if hf == HF_FAST:
             table = {2: OrbitLabel.VII, 1: OrbitLabel.X}
@@ -579,7 +542,7 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         if hf == HF_FLAT and r1 == 0:
             return done(OrbitLabel.VIII_X3SQ)
         return done(OrbitLabel.UNKNOWN)
-    sig = _binary_signature(det, rng)
+    sig = _binary_signature(det, web.field.p)
     evidence["dual_pencil_det_signature"] = list(sig)
     table = {
         HF_FLAT: {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
 import time
@@ -408,9 +409,7 @@ def _cmd_snake(args):
     field = _need_prime(_get_field(args), "snake")
     seed = _need_seed(args)
     form = _parse_form(args, field)
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     ell = random_linear_form(form.n, field, rng)
     if args.g is not None:
         g = parse_poly(args.g, form.n, field)

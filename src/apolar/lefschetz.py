@@ -319,22 +319,23 @@ def hessian(F: DualForm, i: int) -> HessianMatrix:
     return HessianMatrix(basis=basis, entries=entries)
 
 
-def hessian_det_at(F: DualForm, i: int, point) -> object:
-    """Exact determinant of the i-th Hessian evaluated at a point."""
+def _hessian_at(F: DualForm, i: int, point) -> ExactMatrix:
+    """The i-th Hessian of F with every entry evaluated at a point."""
     if len(point) != F.n:
         raise ValueError(f"point has length {len(point)}, expected {F.n}")
     H = hessian(F, i)
-    field = F.field
     m = [[H.entries[a][b].evaluate(point) for b in range(H.size)] for a in range(H.size)]
-    return ExactMatrix(m, field).det()
+    return ExactMatrix(m, F.field)
+
+
+def hessian_det_at(F: DualForm, i: int, point) -> object:
+    """Exact determinant of the i-th Hessian evaluated at a point."""
+    return _hessian_at(F, i, point).det()
 
 
 def hessian_rank_at(F: DualForm, i: int, point) -> int:
     """Exact rank of the i-th Hessian evaluated at a point."""
-    H = hessian(F, i)
-    field = F.field
-    m = [[H.entries[a][b].evaluate(point) for b in range(H.size)] for a in range(H.size)]
-    return ExactMatrix(m, field).rank()
+    return _hessian_at(F, i, point).rank()
 
 
 # -- snake-lemma ledger -------------------------------------------------------
@@ -400,7 +401,7 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
         raise ValueError("expected a nonzero form g")
     if not g.is_homogeneous():
         raise ValueError("g must be homogeneous")
-    s = 0 if not g.terms else g.degree()
+    s = g.degree()
     d = F.degree
     if s > d:
         raise ValueError(f"degree of g exceeds socle degree {d}")

@@ -182,12 +182,6 @@ class Poly:
         # products of nonzero field elements are nonzero; only sums can cancel
         return Poly._trusted(self.n, F, {e: c for e, c in terms.items() if not F.is_zero(c)})
 
-    def scale(self, c) -> "Poly":
-        F = self.field
-        if F.is_zero(c):
-            return Poly.zero(self.n, F)
-        return Poly._trusted(self.n, F, {e: F.mul(c, v) for e, v in self.terms.items()})
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
@@ -354,12 +348,12 @@ def random_linear_change(n: int, field: PrimeField, rng: random.Random) -> Linea
     """A uniformly random invertible change of coordinates (resampled until invertible)."""
     if not isinstance(field, PrimeField):
         raise ValueError("random coordinate changes require a prime field")
-    from .linalg import ExactMatrix
-
     while True:
         m = [[field.rand(rng) for _ in range(n)] for _ in range(n)]
-        if not field.is_zero(ExactMatrix(m, field).det()):
+        try:
             return LinearChange(m, field)
+        except ValueError:  # singular: draw again
+            pass
 
 
 def multi_factorial(exp: tuple[int, ...]) -> int:

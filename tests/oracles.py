@@ -10,7 +10,10 @@ coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
 expansions via exhaustive search, and pivot columns and determinants of
 plain matrices via textbook Gauss-Jordan elimination and the Leibniz
-formula.
+formula, and the invariants of binary forms over F_p in a random chart:
+pencil determinants expanded as two-variable polynomials, and each form
+dehomogenized after a random coordinate change has moved its roots off
+infinity (the univariate squarefree routines are the library's).
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from math import comb, factorial, prod
 from apolar import (
     DualForm,
     ExactMatrix,
+    InternalInconsistencyError,
     Poly,
     ann_degree,
     diff_action,
     monomials_of_degree,
     quotient_basis,
+    random_linear_change,
 )
+from apolar.catalog import _ugcd, _uderiv, _utrim, _yun_signature
 
 
 def differentiation_matrix(F: DualForm, i: int) -> ExactMatrix:
@@ -211,6 +217,96 @@ def leibniz_det(entries, p: int | None = None):
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
         total += (-1) ** inversions * prod(Fraction(entries[i][perm[i]]) for i in range(n))
     return total if p is None else int(total) % p
+
+
+# -- binary forms over F_p in a random chart ----------------------------------
+
+
+def poly_det(entries, n: int, field) -> Poly:
+    """Leibniz determinant of a small matrix of polynomials."""
+    size = len(entries)
+    total = Poly.zero(n, field)
+    for perm in permutations(range(size)):
+        sign = 1
+        for i in range(size):
+            for j in range(i + 1, size):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Poly.constant(n, field, field.one if sign > 0 else field.neg(field.one))
+        for i in range(size):
+            term = term * entries[i][perm[i]]
+        total = total + term
+    return total
+
+
+def pencil_form(m1, m2, field) -> list[list[Poly]]:
+    """Matrix with binary-form entries alpha*m1 + beta*m2."""
+    out = []
+    for row1, row2 in zip(m1, m2):
+        row = []
+        for a, b in zip(row1, row2):
+            terms = {}
+            if not field.is_zero(a):
+                terms[(1, 0)] = a
+            if not field.is_zero(b):
+                terms[(0, 1)] = b
+            row.append(Poly(2, field, terms))
+        out.append(row)
+    return out
+
+
+def binary_signature_by_random_chart(form: Poly, rng: random.Random):
+    """Squarefree signature of a binary form, or None for the zero form.
+
+    A random coordinate change moves all roots away from infinity before
+    dehomogenizing, so the signature is that of the projective root divisor.
+    """
+    if form.is_zero():
+        return None
+    field = form.field
+    e = form.degree()
+    for _ in range(8):
+        t = random_linear_change(2, field, rng).apply(form)
+        univ = [t.terms.get((e - j, j), 0) for j in range(e + 1)][::-1]
+        if univ[-1] != 0:
+            return _yun_signature(univ, field.p)
+    raise InternalInconsistencyError("failed to dehomogenize a binary form")
+
+
+def rank_one_locus_by_random_chart(pencil, field, rng: random.Random) -> int:
+    """Number of distinct rank-<=1 members of a pencil of symmetric matrices.
+
+    The degree of the squarefree part of the gcd of all 2x2 minors along the
+    pencil, after a shared random change keeps every root off infinity.
+    """
+    p = field.p
+    entries = pencil_form(*pencil, field)
+    size = len(entries)
+    minors = [
+        entries[r1][c1] * entries[r2][c2] - entries[r1][c2] * entries[r2][c1]
+        for r1 in range(size) for r2 in range(r1 + 1, size)
+        for c1 in range(size) for c2 in range(c1 + 1, size)
+    ]
+    minors = [m for m in minors if not m.is_zero()]
+    if not minors:
+        raise InternalInconsistencyError("pencil of quadrics is entirely rank one")
+    for _ in range(8):
+        g = random_linear_change(2, field, rng)
+        univs = []
+        for minor in minors:
+            t = g.apply(minor)
+            univs.append(_utrim([t.terms.get((2 - j, j), 0) for j in range(3)][::-1]))
+        if any(len(u) < 3 for u in univs):
+            continue  # the change sent a root of some minor to infinity
+        common = univs[0]
+        for u in univs[1:]:
+            common = _ugcd(common, u, p)
+        common = _utrim(common[:])
+        if len(common) == 1:
+            return 0
+        repeated = _ugcd(common, _uderiv(common, p), p)
+        return (len(common) - 1) - (len(repeated) - 1)
+    raise InternalInconsistencyError("failed to normalize the rank-one locus")
 
 
 # -- lex-segment oracles for the growth bounds --------------------------------

@@ -1,19 +1,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apolar import (
     CATALOG_LABELS,
     EXPECTED_WEB_HF,
     GENERIC_GIN2,
     GF,
-    HF_FAST,
-    HF_FLAT,
-    HF_SLOW,
     QQ,
     SPECIAL_GIN2,
     DualForm,
     HypothesisViolationError,
+    InternalInconsistencyError,
     OrbitLabel,
     QuadricWeb,
     Verdict,
@@ -34,9 +33,16 @@ from apolar import (
     random_linear_change,
     wlp_check,
 )
+from apolar.catalog import _binary_signature, _pencil_det, _rank_one_locus_degree
 from apolar.linalg import ExactMatrix
 from apolar.poly import LinearChange, Poly
-from oracles import random_form
+from oracles import (
+    binary_signature_by_random_chart,
+    pencil_form,
+    poly_det,
+    random_form,
+    rank_one_locus_by_random_chart,
+)
 
 FP = GF()
 
@@ -213,15 +219,132 @@ class TestClassifier:
         with pytest.raises(HypothesisViolationError):
             classify_web(web, seed=71)
 
+    #: label -> (pencil_det_signature, dual_pencil_det_signature, rank_one_points)
+    EVIDENCE = {
+        OrbitLabel.I: ([0, 2, 0, 0], None, None),
+        OrbitLabel.II: (None, [3, 0, 0], None),
+        OrbitLabel.III: (None, [1, 1, 0], None),
+        OrbitLabel.IV: (None, [0, 0, 1], None),
+        OrbitLabel.V: (None, [0, 0, 1], None),
+        OrbitLabel.VI: (None, [1, 1, 0], None),
+        OrbitLabel.VII: (None, "zero", 2),
+        OrbitLabel.VIII_X3X4: ([2, 1, 0, 0], None, None),
+        OrbitLabel.VIII_X3SQ_X2X4: ([1, 0, 1, 0], None, None),
+        OrbitLabel.VIII_X3SQ: (None, "zero", 0),
+        OrbitLabel.IX: ([0, 0, 0, 1], None, None),
+        OrbitLabel.X: (None, "zero", 1),
+    }
+
     def test_evidence_fields(self):
-        label, evidence = classify_web_report(orbit_representative(OrbitLabel.IX, FP), seed=81)
-        assert label is OrbitLabel.IX
-        assert evidence["web_hf"] == list(HF_FAST)
-        assert evidence["common_kernel_dim"] == 0
-        assert evidence["pencil_det_signature"] == [0, 0, 0, 1]
-        label, evidence = classify_web_report(orbit_representative(OrbitLabel.V, FP), seed=82)
-        assert evidence["common_kernel_dim"] == 1
-        assert evidence["dual_pencil_det_signature"] == [0, 0, 1]
+        assert set(self.EVIDENCE) == set(CATALOG_LABELS)
+        for label, (pencil, dual, rank_one) in self.EVIDENCE.items():
+            got, evidence = classify_web_report(orbit_representative(label, FP), seed=81)
+            assert got is label
+            assert evidence == {
+                "gin2": "special",
+                "web_hf": list(EXPECTED_WEB_HF[label]),
+                "common_kernel_dim": 0 if pencil else 1,
+                "pencil_det_signature": pencil,
+                "dual_pencil_det_signature": dual,
+                "rank_one_points": rank_one,
+                "label": label.value,
+            }
+
+    @pytest.mark.parametrize("p", [101, 10007])
+    def test_conjugates_round_trip_small_primes(self, p):
+        field = GF(p)
+        rng = random.Random(p)
+        for label in CATALOG_LABELS:
+            web = orbit_representative(label, field)
+            for _ in range(3):
+                conjugate = web.transformed(random_linear_change(4, field, rng))
+                assert classify_web(conjugate, seed=rng.getrandbits(32)) is label
+
+
+# -- binary forms in the fixed chart against the random-chart oracles ----------
+
+BINARY_FIELDS = [GF(101), GF(10007), FP]
+
+
+def _linear_factors(p: int):
+    """Coefficients (a, b) of a alpha + b beta; beta itself puts its root at infinity."""
+    coefficient = st.integers(0, p - 1)
+    return st.one_of(st.just((0, 1)), st.just((1, 0)),
+                     st.tuples(coefficient, coefficient).filter(any))
+
+
+@st.composite
+def factored_binary_forms(draw):
+    """A field and a binary form given as a scale times linear factors with multiplicities."""
+    field = draw(st.sampled_from(BINARY_FIELDS))
+    factors = draw(st.lists(st.tuples(_linear_factors(field.p), st.integers(1, 3)), max_size=4))
+    return field, draw(st.integers(1, field.p - 1)), factors
+
+
+def _coefficients(form: Poly, e: int) -> list[int]:
+    return [form.coefficient((e - j, j)) for j in range(e + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_binary_forms(), st.integers(0, 2**32 - 1))
+@example((GF(101), 5, [((0, 1), 2), ((1, 100), 1)]), 0)
+@example((FP, 1, [((0, 1), 3)]), 0)
+def test_binary_signature_matches_random_chart(form, seed):
+    field, scale, factors = form
+    poly = Poly.constant(2, field, scale)
+    for (a, b), k in factors:
+        poly = poly * Poly(2, field, {(1, 0): a, (0, 1): b}) ** k
+    e = sum(k for _, k in factors)
+    expected = binary_signature_by_random_chart(poly, random.Random(seed))
+    assert _binary_signature(_coefficients(poly, e), field.p) == expected
+    assert _binary_signature([0] * (e + 1), field.p) is None
+
+
+@st.composite
+def rank_one_pencils(draw):
+    """A field and a pencil sum_k (a_k alpha + b_k beta) u_k u_k^T of 3x3 matrices."""
+    field = draw(st.sampled_from(BINARY_FIELDS))
+    p = field.p
+    vector = st.lists(st.integers(0, p - 1), min_size=3, max_size=3)
+    terms = draw(st.lists(st.tuples(vector, _linear_factors(p)), min_size=1, max_size=4))
+    pencil = [[[0] * 3 for _ in range(3)] for _ in range(2)]
+    for u, ab in terms:
+        for m, c in zip(pencil, ab):
+            for i in range(3):
+                for j in range(3):
+                    m[i][j] = (m[i][j] + c * u[i] * u[j]) % p
+    return field, pencil
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_one_pencils(), st.integers(0, 2**32 - 1))
+@example((GF(101), [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]), 0)
+def test_rank_one_locus_matches_random_chart(pencil, seed):
+    field, matrices = pencil
+    expected = _outcome(rank_one_locus_by_random_chart, matrices, field, random.Random(seed))
+    assert _outcome(_rank_one_locus_degree, matrices, field.p) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BINARY_FIELDS), st.integers(1, 4), st.data())
+def test_pencil_det_matches_evaluated_det(field, size, data):
+    p = field.p
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    matrix = st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size)
+    m1, m2 = data.draw(matrix), data.draw(matrix)
+    alpha, beta = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    coeffs = _pencil_det(m1, m2, p)
+    assert coeffs == _coefficients(poly_det(pencil_form(m1, m2, field), 2, field), size)
+    value = sum(c * pow(alpha, size - j, p) * pow(beta, j, p) for j, c in enumerate(coeffs)) % p
+    at_point = [[(alpha * a + beta * b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
+    assert value == ExactMatrix(at_point, field).det()
 
 
 class TestInverseSystemSample:
