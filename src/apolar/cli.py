@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: hf, ann, wlp, slp, bounds, classify, catalog, family, gin2,
-perazzo, snake.  Randomized commands require an explicit --seed; there is no
-silent time-based seeding.  Reports go to stdout as text or, with --json, as
-a versioned JSON document; diagnostics go to stderr.
+perazzo, snake.  Each declares only the flags it reads, so a flag it would
+ignore is a usage error.  Randomized commands require an explicit --seed;
+there is no silent time-based seeding.  Reports go to stdout as text or,
+with --json, as a versioned JSON document; diagnostics go to stderr.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation, 4 internal
 inconsistency.
@@ -42,7 +43,7 @@ from .grammar import ParseError, format_poly, parse_poly
 from .lefschetz import Verdict, slp_check, snake_consistency, wlp_check
 from .poly import Poly, random_linear_form
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TEXT_ELISION = 12  # max items listed in text mode; JSON is always complete
 
@@ -51,17 +52,21 @@ class _InputError(Exception):
     pass
 
 
-def _common_flags(parser: argparse.ArgumentParser, randomized: bool) -> None:
-    parser.add_argument("--field", default="fp", metavar="q|fp[:PRIME]",
-                        help="coefficient field (default: fp, the prime 2^61-1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed" + (" (required)" if randomized else ""))
-    parser.add_argument("--trials", type=int, default=5, help="randomized trials (default 5)")
-    parser.add_argument("--n", type=int, default=None,
-                        help="ambient variable count (default: largest index used)")
+_FLAGS = {
+    "field": dict(default="fp", metavar="q|fp[:PRIME]",
+                  help="coefficient field (default: fp, the prime 2^61-1)"),
+    "seed": dict(type=int, help="RNG seed (required)"),
+    "trials": dict(type=int, default=5, help="randomized trials (default 5)"),
+    "n": dict(type=int, help="ambient variable count (default: largest index used)"),
+    "input": dict(metavar="PATH", help="read the polynomial/web text from a file"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the named flags of `_FLAGS`, and --json, on one subcommand."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--input", default=None, metavar="PATH",
-                        help="read the polynomial/web text from a file")
 
 
 @cache
@@ -75,60 +80,66 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hf", help="Hilbert function of the algebra of a dual form")
     sp.add_argument("form", nargs="?", help="dual form in the polynomial grammar")
-    _common_flags(sp, randomized=False)
+    _add_flags(sp, "field", "n", "input")
 
     sp = sub.add_parser("ann", help="basis of one graded piece of the annihilator")
     sp.add_argument("form", nargs="?")
     sp.add_argument("degree", type=int, help="graded piece to compute")
-    _common_flags(sp, randomized=False)
+    _add_flags(sp, "field", "n", "input")
 
     for name, blurb in (("wlp", "weak Lefschetz check"), ("slp", "strong Lefschetz check")):
         sp = sub.add_parser(name, help=blurb)
         sp.add_argument("form", nargs="?")
-        _common_flags(sp, randomized=True)
+        _add_flags(sp, "field", "seed", "trials", "n", "input")
 
     sp = sub.add_parser("bounds", help="binomial expansions and growth bounds")
     sp.add_argument("query", choices=["macaulay", "green", "gotzmann", "expansion", "osequence"])
     sp.add_argument("args", nargs="+", help="integers, or a comma-separated h-vector")
-    _common_flags(sp, randomized=False)
+    _add_flags(sp)
 
     sp = sub.add_parser("classify", help="orbit label of a web of four quadrics")
     sp.add_argument("web", nargs="?", help="four comma-separated quadrics")
-    _common_flags(sp, randomized=True)
+    _add_flags(sp, "field", "seed", "input")
 
     sp = sub.add_parser("catalog", help="catalog orbit representative with verified data")
     sp.add_argument("label", nargs="?", help="orbit label; omit to list all")
-    _common_flags(sp, randomized=False)
+    _add_flags(sp)
 
     sp = sub.add_parser("family", help="sample an inverse-system dual form for a catalog web")
     sp.add_argument("label")
     sp.add_argument("degree", type=int)
-    _common_flags(sp, randomized=True)
+    _add_flags(sp, "field", "seed", "trials")
 
     sp = sub.add_parser("gin2", help="degree-2 lex generic initial monomials of a web")
     sp.add_argument("web", nargs="?")
-    _common_flags(sp, randomized=True)
+    _add_flags(sp, "field", "seed", "trials", "input")
 
     sp = sub.add_parser("perazzo", help="sharpness example of a given socle degree")
     sp.add_argument("d", type=int)
-    _common_flags(sp, randomized=True)
+    sp.add_argument("--seed", type=int, help="RNG seed of an optional WLP check over --field")
+    _add_flags(sp, "field", "trials")
 
     sp = sub.add_parser("snake", help="snake-lemma rank ledger for B, A, C")
     sp.add_argument("form", nargs="?")
     sp.add_argument("--g", default=None, metavar="FORM",
                     help="the form cutting B and C (default: a random linear form)")
-    _common_flags(sp, randomized=True)
+    _add_flags(sp, "field", "seed", "n", "input")
 
     return parser
 
 
 def _read_text(args, positional: str | None) -> str:
-    if args.input is not None:
+    if args.input is None:
+        if positional is None:
+            raise _InputError("missing input: pass it as an argument or with --input PATH")
+        return positional
+    if positional is not None:
+        raise _InputError("pass the input either as an argument or with --input, not both")
+    try:
         with open(args.input, "r", encoding="utf-8") as fh:
             return fh.read().strip()
-    if positional is None:
-        raise _InputError("missing input: pass it as an argument or with --input PATH")
-    return positional
+    except OSError as exc:
+        raise _InputError(f"cannot read --input {args.input}: {exc.strerror}") from None
 
 
 def _infer_n(text: str) -> int:
@@ -175,9 +186,6 @@ def _parse_web(args, field) -> QuadricWeb:
     pieces = [t.strip() for t in text.split(",") if t.strip()]
     if len(pieces) != 4:
         raise _InputError(f"expected four comma-separated quadrics, got {len(pieces)}")
-    n = args.n if args.n is not None else 4
-    if n != 4:
-        raise _InputError("quadric webs live in exactly four variables")
     quadrics = [parse_poly(t, 4, field) for t in pieces]
     try:
         return QuadricWeb(quadrics)
@@ -189,12 +197,7 @@ def _mono_text(exp) -> str:
     return format_poly(Poly.monomial(len(exp), QQ, exp), var="x")
 
 
-def _gin_set_name(pivots) -> str:
-    if pivots == GENERIC_GIN2:
-        return "generic"
-    if pivots == SPECIAL_GIN2:
-        return "special"
-    return "other"
+_GIN2_SETS = {GENERIC_GIN2: "generic", SPECIAL_GIN2: "special"}
 
 
 def _wlp_lines(report) -> list[str]:
@@ -377,8 +380,9 @@ def _cmd_gin2(args):
     web = _parse_web(args, field)
     pivots = gin2(web, trials=args.trials, seed=seed)
     names = [_mono_text(e) for e in pivots]
-    result = {"pivots": names, "set": _gin_set_name(pivots), "trials": args.trials, "seed": seed}
-    return result, [f"gin2 pivots: {{{', '.join(names)}}} ({_gin_set_name(pivots)} set)"]
+    kind = _GIN2_SETS.get(pivots, "other")
+    result = {"pivots": names, "set": kind, "trials": args.trials, "seed": seed}
+    return result, [f"gin2 pivots: {{{', '.join(names)}}} ({kind} set)"]
 
 
 def _cmd_perazzo(args):
@@ -453,11 +457,7 @@ _BODIES = {
 
 
 def _config_echo(args) -> dict:
-    cfg = {"field": getattr(args, "field", "fp")}
-    for key in ("seed", "trials", "n"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
+    return {key: getattr(args, key) for key in ("field", "seed", "trials", "n") if hasattr(args, key)}
 
 
 def main(argv=None) -> int:

@@ -4,11 +4,33 @@ import re
 import shlex
 
 import pytest
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
 from apolar.cli import SCHEMA_VERSION, _build_parser, main
 
-#: Envelope every JSON report must satisfy.
+#: The flags each command reads and echoes back in its report's `config`.
+CONFIG_KEYS = {
+    "hf": ["field", "n"],
+    "ann": ["field", "n"],
+    "wlp": ["field", "seed", "trials", "n"],
+    "slp": ["field", "seed", "trials", "n"],
+    "bounds": [],
+    "classify": ["field", "seed"],
+    "catalog": [],
+    "family": ["field", "seed", "trials"],
+    "gin2": ["field", "seed", "trials"],
+    "perazzo": ["field", "seed", "trials"],
+    "snake": ["field", "seed", "n"],
+}
+CONFIG_TYPES = {
+    "field": {"type": "string"},
+    "seed": {"type": ["integer", "null"]},
+    "trials": {"type": "integer"},
+    "n": {"type": ["integer", "null"]},
+}
+
+#: Envelope every JSON report must satisfy; `config` holds exactly the
+#: command's own keys.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "tool", "version", "command", "config", "result", "wall_time_ms"],
@@ -16,15 +38,22 @@ REPORT_SCHEMA = {
         "schema_version": {"const": SCHEMA_VERSION},
         "tool": {"const": "apolar"},
         "version": {"type": "string"},
-        "command": {"type": "string"},
-        "config": {
-            "type": "object",
-            "required": ["field"],
-            "properties": {"field": {"type": "string"}},
-        },
+        "command": {"enum": sorted(CONFIG_KEYS)},
+        "config": {"type": "object"},
         "result": {"type": "object"},
         "wall_time_ms": {"type": "number"},
     },
+    "allOf": [
+        {
+            "if": {"properties": {"command": {"const": command}}},
+            "then": {"properties": {"config": {
+                "required": keys,
+                "properties": {k: CONFIG_TYPES[k] for k in keys},
+                "additionalProperties": False,
+            }}},
+        }
+        for command, keys in CONFIG_KEYS.items()
+    ],
     "additionalProperties": False,
 }
 
@@ -187,11 +216,100 @@ def test_input_from_file(tmp_path, capsys):
     assert code == 0 and "(1, 2, 2, 1)" in out
 
 
-def test_threads_flag_is_rejected(capsys):
+def test_report_schema_pins_config_keys():
+    report = {"schema_version": SCHEMA_VERSION, "tool": "apolar", "version": "0", "result": {},
+              "wall_time_ms": 1.0}
+    validate({**report, "command": "bounds", "config": {}}, REPORT_SCHEMA)
+    validate({**report, "command": "hf", "config": {"field": "q", "n": None}}, REPORT_SCHEMA)
+    for command, config in (("bounds", {"field": "fp"}),
+                            ("hf", {"field": "q", "n": None, "trials": 5}),
+                            ("classify", {"field": "fp"})):
+        with pytest.raises(ValidationError):
+            validate({**report, "command": command, "config": config}, REPORT_SCHEMA)
+
+
+WEB = "x1*x3, x1*x4, x2*x3, x2*x4"
+
+#: Per command, a valid call and the flags the command does not declare,
+#: each with a value it would otherwise accept; `--threads` exists nowhere.
+UNDECLARED_FLAGS = [
+    (("hf", "X1^2*X2"), ["--threads", "--seed", "--trials"]),
+    (("ann", "X1^2*X2", "2"), ["--seed", "--trials"]),
+    (("bounds", "macaulay", "13", "2"), ["--field", "--seed", "--trials", "--n", "--input"]),
+    (("catalog", "IX"), ["--field", "--seed", "--trials", "--n", "--input"]),
+    (("classify", WEB, "--seed", "3"), ["--trials", "--n"]),
+    (("gin2", WEB, "--seed", "5"), ["--n"]),
+    (("family", "VII", "5", "--seed", "11"), ["--n", "--input"]),
+    (("perazzo", "4", "--seed", "1"), ["--n", "--input"]),
+    (("snake", PERAZZO3, "--seed", "13"), ["--trials"]),
+]
+FLAG_VALUES = {"--threads": "4", "--field": "fp", "--seed": "1", "--trials": "3", "--n": "4",
+               "--input": "form.txt"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=argv[0] + flag) for argv, flags in UNDECLARED_FLAGS for flag in flags
+])
+def test_undeclared_flag_is_rejected(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["hf", "X1^2*X2", "--json", "--threads", "4"])
+        main([*argv, "--json", flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+
+
+def test_every_declared_flag_is_read_back(tmp_path, capsys):
+    form, web = tmp_path / "form.txt", tmp_path / "web.txt"
+    form.write_text(PERAZZO3)
+    web.write_text(WEB)
+    prime = ["--field", "fp:10007"]
+    calls = [
+        (["hf", "--input", str(form), "--field", "q", "--n", "6"], {"field": "q", "n": 6}),
+        (["ann", "2", "--input", str(form), "--n", "6"], {"field": "fp", "n": 6}),
+        (["wlp", "--input", str(form), *prime, "--seed", "2", "--trials", "2", "--n", "6"],
+         {"field": "fp:10007", "seed": 2, "trials": 2, "n": 6}),
+        (["slp", "--input", str(form), *prime, "--seed", "2", "--trials", "2", "--n", "6"],
+         {"field": "fp:10007", "seed": 2, "trials": 2, "n": 6}),
+        (["bounds", "green", "6", "3"], {}),
+        (["catalog"], {}),
+        (["classify", "--input", str(web), *prime, "--seed", "3"],
+         {"field": "fp:10007", "seed": 3}),
+        (["gin2", "--input", str(web), *prime, "--seed", "5", "--trials", "2"],
+         {"field": "fp:10007", "seed": 5, "trials": 2}),
+        (["family", "VII", "5", *prime, "--seed", "11", "--trials", "2"],
+         {"field": "fp:10007", "seed": 11, "trials": 2}),
+        (["perazzo", "3", *prime, "--seed", "1", "--trials", "2"],
+         {"field": "fp:10007", "seed": 1, "trials": 2}),
+        (["snake", "--input", str(form), *prime, "--seed", "13", "--n", "6", "--g", "X6"],
+         {"field": "fp:10007", "seed": 13, "n": 6}),
+    ]
+    assert sorted(argv[0] for argv, _ in calls) == sorted(CONFIG_KEYS)
+    for argv, config in calls:
+        assert run_json(capsys, *argv, "--json")["config"] == config, argv
+
+
+class TestInputFile:
+    def test_missing_file_is_two(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "hf", "--input", str(missing))
+        assert code == 2 and not out
+        assert str(missing) in err and "No such file" in err
+
+    def test_directory_is_two(self, tmp_path, capsys):
+        code, out, err = run(capsys, "hf", "--input", str(tmp_path))
+        assert code == 2 and not out
+        assert str(tmp_path) in err and "Is a directory" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        pytest.param(("hf", "X1^5"), "X1^2*X2", id="hf"),
+        pytest.param(("classify", WEB, "--seed", "3"), "x1^2, x1*x2, x2^2, x1*x4 - x2*x3",
+                     id="classify"),
+    ])
+    def test_argument_and_input_together_is_two(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and not out
+        assert "either as an argument or with --input, not both" in err
 
 
 def test_parser_is_built_once_and_left_unchanged_by_use(capsys):
