@@ -3,8 +3,9 @@
 The catalog covers the twelve four-dimensional spaces of quadrics in four
 variables that occur (up to coordinate change) as degree-two parts of the
 relevant ideals, with their Hilbert functions; a conjugation-invariant
-classifier; degree-two generic initial ideals under lex; inverse-system
-samplers; and the trivial-extension dual forms whose algebras have h-vector
+classifier that reads its invariants off the quadrics' symmetric matrices;
+degree-two generic initial ideals under lex; inverse-system samplers; and
+the trivial-extension dual forms whose algebras have h-vector
 (1, d+2, ..., d+2, 1) and fail the weak Lefschetz property.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from operator import add, mul
 
@@ -257,46 +258,36 @@ def _symmetric_matrix(q: Poly, n: int):
     return m
 
 
-def _common_kernel(web: QuadricWeb) -> list[list]:
-    stacked = []
-    for q in web.quadrics:
-        stacked.extend(_symmetric_matrix(q, 4))
-    return ExactMatrix(stacked, web.field).kernel_basis()
+def _common_kernel(mats, field) -> list[list]:
+    """Basis of the vectors k with S k = 0 for every member matrix S."""
+    return ExactMatrix([row for s in mats for row in s], field).kernel_basis()
 
 
-def _reduce_to_three_variables(web: QuadricWeb, kernel_vec) -> list[Poly]:
-    """Change coordinates so the common kernel is the last variable; drop it."""
-    field = web.field
-    pivot = next(i for i, x in enumerate(kernel_vec) if not field.is_zero(x))
-    others = [j for j in range(4) if j != pivot]
-    matrix = [[field.one if i == j else field.zero for j in others] + [kernel_vec[i]]
-              for i in range(4)]
-    reduced = []
-    for t in web.transformed(LinearChange(matrix, field)).quadrics:
-        terms = {}
-        for e, c in t.terms.items():
-            if e[3] != 0:
-                raise InternalInconsistencyError("kernel reduction left a trailing variable")
-            terms[e[:3]] = c
-        reduced.append(Poly(3, field, terms))
-    return reduced
+def _dual_pencil(mats, k, field):
+    """The two 3x3 matrices spanning the dual pencil of a web with kernel k, or None.
 
-
-def _dual_pencil(reduced: list[Poly]):
-    """Orthogonal complement of a three-variable web inside the dual quadrics.
-
-    Returns the two symmetric 3x3 matrices spanning it, or None when the
-    complement does not have dimension two.
+    Under x -> M x with M = [e_j for j != pivot | k], each S becomes S with
+    row and column `pivot` deleted, bordered by zeros since S k = 0.  The
+    dual quadrics T orthogonal to those, <S, T> = 2 tr(S T), are the kernel
+    of the rows (S_ab), a <= b; v gives T_aa = v_aa and T_ab = v_ab / 2.
     """
-    field = reduced[0].field
-    mons, rows = _ideal_rows(reduced, 2, weighted=True)
+    p = field.p
+    if any(sum(map(mul, row, k)) % p for s in mats for row in s):
+        raise InternalInconsistencyError("a web matrix does not kill the common kernel")
+    pivot = next(i for i, x in enumerate(k) if x)
+    kept = [j for j in range(4) if j != pivot]
+    pairs = list(combinations_with_replacement(range(3), 2))
+    rows = [[s[kept[a]][kept[b]] for a, b in pairs] for s in mats]
     kernel = ExactMatrix(rows, field).kernel_basis()
     if len(kernel) != 2:
         return None
+    half = field.inv(2)
     out = []
     for v in kernel:
-        terms = {w: c for w, c in zip(mons, v) if not field.is_zero(c)}
-        out.append(_symmetric_matrix(Poly(3, field, terms), 3))
+        t = [[0] * 3 for _ in range(3)]
+        for (a, b), c in zip(pairs, v):
+            t[a][b] = t[b][a] = c if a == b else c * half % p
+        out.append(t)
     return out
 
 
@@ -331,79 +322,56 @@ def _uderiv(c, p):
     return _utrim([(j * c[j]) % p for j in range(1, len(c))])
 
 
-def _umonic(c, p):
-    if not c:
-        return c
-    inv = pow(c[-1], p - 2, p)
-    return [(x * inv) % p for x in c]
-
-
-def _udivmod(a, b, p):
-    a = a[:]
-    out = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        f = a[-1] * inv % p
-        shift = len(a) - len(b)
-        out[shift] = f
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - f * b[j]) % p
-        _utrim(a)
-        if not a:
-            break
-    return _utrim(out), a
-
-
 def _ugcd(a, b, p):
+    """A gcd, up to a unit, by Euclid's algorithm; each pass reduces a mod b in place."""
     a, b = _utrim(a[:]), _utrim(b[:])
     while b:
-        a, b = b, _udivmod(a, b, p)[1]
-    return _umonic(a, p)
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            f = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for j, x in enumerate(b):
+                a[shift + j] = (a[shift + j] - f * x) % p
+            _utrim(a)
+        a, b = b, a
+    return a
 
 
-def _yun_signature(c, p) -> tuple[int, ...]:
-    """Multiplicity signature of a squarefree decomposition f = prod a_j^j.
+def _root_counts(c, p) -> list[int]:
+    """Numbers of distinct roots of multiplicity >= k, for k = 1 .. deg c + 1.
 
-    Entry j-1 is the degree of a_j.  Valid since p far exceeds the degree.
+    With g_0 = c and g_k = gcd(g_{k-1}, g_{k-1}'), each step lowers every
+    root multiplicity by one over the algebraic closure when p > deg c, so
+    entry k-1 is deg g_{k-1} - deg g_k.  A smaller p raises ValueError.
     """
-    f = _umonic(_utrim(c[:]), p)
-    degree = len(f) - 1
-    sig = [0] * degree
-    d = _uderiv(f, p)
-    a = _ugcd(f, d, p)
-    b = _udivmod(f, a, p)[0]
-    cpart = _udivmod(d, a, p)[0]
-    j = 1
-    while len(b) > 1:
-        db = _uderiv(b, p)
-        diff = _utrim([
-            ((cpart[k] if k < len(cpart) else 0) - (db[k] if k < len(db) else 0)) % p
-            for k in range(max(len(cpart), len(db), 1))
-        ])
-        aj = _ugcd(b, diff, p)
-        sig[j - 1] += len(aj) - 1
-        b = _udivmod(b, aj, p)[0]
-        cpart = _udivmod(diff, aj, p)[0]
-        j += 1
-        if j > degree + 1:
-            raise InternalInconsistencyError("squarefree decomposition failed to terminate")
-    return tuple(sig)
+    g = _utrim(c[:])
+    if p <= len(g) - 1:
+        raise ValueError(f"root multiplicities of a degree-{len(g) - 1} polynomial "
+                         f"need characteristic p > {len(g) - 1}, got {p}")
+    counts = [0] * len(g)
+    k = 0
+    while len(g) > 1:
+        h = _ugcd(g, _uderiv(g, p), p)
+        counts[k] = len(g) - len(h)
+        g, k = h, k + 1
+    return counts
 
 
 def _binary_signature(coeffs: list[int], p: int) -> tuple[int, ...] | None:
     """Squarefree signature of a binary form, or None for the zero form.
 
-    ``coeffs[j]`` is the coefficient of alpha^(e-j) beta^j.  The roots other
-    than beta = 0 are those of the chart beta = 1, a polynomial in alpha; the
-    root beta = 0 has the multiplicity m of the first nonzero coefficient and
-    adds one linear factor to entry m-1.  A projective change of coordinates
-    keeps the multiset of (factor degree, multiplicity), so every chart gives
-    the signature of the projective root divisor.
+    ``coeffs[j]`` is the coefficient of alpha^(e-j) beta^j; entry j-1 counts
+    the distinct roots of multiplicity j.  The roots other than beta = 0 are
+    those of the chart beta = 1, counted by `_root_counts`; the root beta = 0
+    has the multiplicity m of the first nonzero coefficient and adds one to
+    entry m-1.  A projective change of coordinates keeps the multiplicities,
+    so every chart gives the signature of the projective root divisor.
     """
     m = next((j for j, c in enumerate(coeffs) if c), None)
     if m is None:
         return None
-    sig = list(_yun_signature(coeffs[::-1], p))
+    counts = _root_counts(coeffs[::-1], p)
+    sig = [a - b for a, b in zip(counts, counts[1:])]
     sig += [0] * (len(coeffs) - 1 - len(sig))
     if m:
         sig[m - 1] += 1
@@ -414,8 +382,8 @@ def _rank_one_locus_degree(pencil, p: int) -> int:
     """Number of distinct rank-<=1 members of a pencil of symmetric matrices.
 
     These are the common roots of the 2x2 minors along the pencil: the
-    squarefree degree of the gcd of the minors in the chart beta = 1, plus
-    one when beta = 0 is a root of every nonzero minor.
+    distinct roots of the gcd of the minors in the chart beta = 1, plus one
+    when beta = 0 is a root of every nonzero minor.
     """
     m1, m2 = pencil
     pairs = list(combinations(range(len(m1)), 2))
@@ -431,16 +399,13 @@ def _rank_one_locus_degree(pencil, p: int) -> int:
     common: list[int] = []
     for minor in minors:
         common = _ugcd(common, minor[::-1], p)
-    repeated = _ugcd(common, _uderiv(common, p), p)
     at_infinity = all(minor[0] == 0 for minor in minors)
-    return len(common) - len(repeated) + int(at_infinity)
+    return _root_counts(common, p)[0] + int(at_infinity)
 
 
-def _quartic_signature(web: QuadricWeb, rng: random.Random) -> tuple[int, ...] | None:
+def _quartic_signature(mats, field, rng: random.Random) -> tuple[int, ...] | None:
     """Squarefree signature of the determinant along a random member pencil."""
-    field = web.field
     p = field.p
-    mats = [_symmetric_matrix(q, 4) for q in web.quadrics]
     for _ in range(8):
         ms = []
         for _ in range(2):
@@ -462,21 +427,30 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
     """Orbit label of a quadric web together with the invariant evidence.
 
     Decision tree over computable invariants: the Hilbert function of the web
-    ideal up to degree 5; the common kernel of the member matrices; the
-    squarefree signature of the determinant along pencils (of the web itself
-    in the four-variable branch, of the canonical dual pencil in the
-    three-variable branch); and the rank-one locus of the dual pencil.  Webs
-    outside the catalog orbits may come back Unknown.
+    ideal up to degree 5; the common kernel of the four symmetric matrices
+    S of the quadrics x^T S x, built once; the squarefree signature of the
+    determinant along pencils (of the web itself when the kernel is zero,
+    of the dual pencil when it is a line); and the rank-one locus of the
+    dual pencil.  The dual pencil is read off the matrices with the kernel's
+    pivot row and column deleted (see `_dual_pencil`).  Webs outside the
+    catalog orbits may come back Unknown.
 
     Two steps sample from the seed: the coordinate changes of the three
     ``gin2`` trials, and the two random members spanning the web's pencil in
-    the four-variable branch.  The rest is read deterministically: the
+    the kernel-free branch.  The rest is read deterministically: the
     Hilbert function, the common kernel, and the squarefree signatures and
     rank-one count of binary forms, which are read in the fixed chart
-    beta = 1 with the root beta = 0 counted apart.
+    beta = 1 with the root beta = 0 counted apart.  Root multiplicities come
+    from derivatives, so the characteristic must exceed 4, the degree of the
+    web's pencil determinant; p <= 4 raises ValueError.
     """
-    if not isinstance(web.field, PrimeField):
+    field = web.field
+    if not isinstance(field, PrimeField):
         raise ValueError("classification runs over a prime field")
+    p = field.p
+    if p <= 4:
+        raise ValueError(f"classification needs characteristic p > 4, the degree of the "
+                         f"pencil determinant whose root multiplicities it reads; got p = {p}")
     master = random.Random(seed)
     gin_seed = master.getrandbits(63)
     rng = random.Random(master.getrandbits(63))
@@ -491,7 +465,8 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         raise InternalInconsistencyError(f"gin2 returned a non-Borel-fixed set {pivots}")
 
     hf = quadric_ideal_hf(web, 5)
-    kernel = _common_kernel(web)
+    mats = [_symmetric_matrix(q, 4) for q in web.quadrics]
+    kernel = _common_kernel(mats, field)
     evidence: dict = {
         "gin2": "special",
         "web_hf": list(hf),
@@ -509,7 +484,7 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         return done(OrbitLabel.UNKNOWN)
 
     if not kernel:
-        sig = _quartic_signature(web, rng)
+        sig = _quartic_signature(mats, field, rng)
         evidence["pencil_det_signature"] = list(sig) if sig else None
         table = {
             HF_FAST: {(0, 2, 0, 0): OrbitLabel.I, (0, 0, 0, 1): OrbitLabel.IX},
@@ -521,13 +496,13 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         }[hf]
         return done(table.get(sig, OrbitLabel.UNKNOWN))
 
-    pencil = _dual_pencil(_reduce_to_three_variables(web, kernel[0]))
+    pencil = _dual_pencil(mats, kernel[0], field)
     if pencil is None:
         return done(OrbitLabel.UNKNOWN)
-    det = _pencil_det(*pencil, web.field.p)
+    det = _pencil_det(*pencil, p)
     if not any(det):
         evidence["dual_pencil_det_signature"] = "zero"
-        r1 = _rank_one_locus_degree(pencil, web.field.p)
+        r1 = _rank_one_locus_degree(pencil, p)
         evidence["rank_one_points"] = r1
         if hf == HF_FAST:
             table = {2: OrbitLabel.VII, 1: OrbitLabel.X}
@@ -535,7 +510,7 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         if hf == HF_FLAT and r1 == 0:
             return done(OrbitLabel.VIII_X3SQ)
         return done(OrbitLabel.UNKNOWN)
-    sig = _binary_signature(det, web.field.p)
+    sig = _binary_signature(det, p)
     evidence["dual_pencil_det_signature"] = list(sig)
     table = {
         HF_FLAT: {

@@ -118,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("d", type=int)
     sp.add_argument("--seed", type=int, help="RNG seed of an optional WLP check over --field")
     _add_flags(sp, "field", "trials")
+    sp.set_defaults(field=None, trials=None)  # unset unless given, so that a stray one shows
 
     sp = sub.add_parser("snake", help="snake-lemma rank ledger for B, A, C")
     sp.add_argument("form", nargs="?")
@@ -388,6 +389,12 @@ def _cmd_gin2(args):
 def _cmd_perazzo(args):
     if args.d < 3:
         raise _InputError("the construction needs socle degree d >= 3")
+    stray = [f"--{key}" for key in ("field", "trials") if getattr(args, key) is not None]
+    if stray and args.seed is None:
+        raise _InputError(f"{', '.join(stray)} only set the WLP check: pass --seed INT to run it")
+    for key in ("field", "trials"):
+        if getattr(args, key) is None:
+            setattr(args, key, _FLAGS[key]["default"])
     field = _get_field(args)
     form = perazzo_dual_form(args.d, field=QQ)
     h = hilbert_function(form)

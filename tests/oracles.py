@@ -10,10 +10,13 @@ coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
 expansions via exhaustive search, and pivot columns and determinants of
 plain matrices via textbook Gauss-Jordan elimination and the Leibniz
-formula, and the invariants of binary forms over F_p in a random chart:
+formula, the invariants of binary forms over F_p in a random chart:
 pencil determinants expanded as two-variable polynomials, and each form
 dehomogenized after a random coordinate change has moved its roots off
-infinity (the univariate squarefree routines are the library's).
+infinity, then split by Yun's squarefree decomposition (not the library's
+chain of gcds with derivatives), and the dual pencil of a quadric web with
+a common kernel by substituting coordinates into its quadrics (not by
+deleting a row and column of their symmetric matrices).
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ from apolar import (
     DualForm,
     ExactMatrix,
     InternalInconsistencyError,
+    LinearChange,
     Poly,
+    QuadricWeb,
     ann_degree,
     diff_action,
     monomials_of_degree,
     quotient_basis,
     random_linear_change,
 )
-from apolar.catalog import _ugcd, _uderiv, _utrim, _yun_signature
+from apolar.catalog import _ideal_rows, _symmetric_matrix
 
 
 def differentiation_matrix(F: DualForm, i: int) -> ExactMatrix:
@@ -221,6 +226,73 @@ def leibniz_det(entries, p: int | None = None):
 
 # -- binary forms over F_p in a random chart ----------------------------------
 
+# univariate polynomials over F_p as coefficient lists, low degree first
+
+
+def _utrim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _uderiv(c, p):
+    return _utrim([(j * c[j]) % p for j in range(1, len(c))])
+
+
+def _umonic(c, p):
+    return [x * pow(c[-1], p - 2, p) % p for x in c] if c else c
+
+
+def _udivmod(a, b, p):
+    a = a[:]
+    out = [0] * max(0, len(a) - len(b) + 1)
+    inv = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        f = a[-1] * inv % p
+        shift = len(a) - len(b)
+        out[shift] = f
+        for j in range(len(b)):
+            a[shift + j] = (a[shift + j] - f * b[j]) % p
+        _utrim(a)
+    return _utrim(out), a
+
+
+def _ugcd(a, b, p):
+    """Monic gcd by Euclid's algorithm."""
+    a, b = _utrim(a[:]), _utrim(b[:])
+    while b:
+        a, b = b, _udivmod(a, b, p)[1]
+    return _umonic(a, p)
+
+
+def yun_signature(c, p) -> tuple[int, ...]:
+    """Multiplicity signature of Yun's squarefree decomposition c = unit * prod a_j^j.
+
+    Entry j-1 is the degree of a_j; valid when p exceeds the degree.
+    """
+    f = _umonic(_utrim(c[:]), p)
+    degree = len(f) - 1
+    sig = [0] * degree
+    d = _uderiv(f, p)
+    a = _ugcd(f, d, p)
+    b = _udivmod(f, a, p)[0]
+    cpart = _udivmod(d, a, p)[0]
+    j = 1
+    while len(b) > 1:
+        db = _uderiv(b, p)
+        diff = _utrim([
+            ((cpart[k] if k < len(cpart) else 0) - (db[k] if k < len(db) else 0)) % p
+            for k in range(max(len(cpart), len(db), 1))
+        ])
+        aj = _ugcd(b, diff, p)
+        sig[j - 1] += len(aj) - 1
+        b = _udivmod(b, aj, p)[0]
+        cpart = _udivmod(diff, aj, p)[0]
+        j += 1
+        if j > degree + 1:
+            raise InternalInconsistencyError("squarefree decomposition failed to terminate")
+    return tuple(sig)
+
 
 def poly_det(entries, n: int, field) -> Poly:
     """Leibniz determinant of a small matrix of polynomials."""
@@ -269,7 +341,7 @@ def binary_signature_by_random_chart(form: Poly, rng: random.Random):
         t = random_linear_change(2, field, rng).apply(form)
         univ = [t.terms.get((e - j, j), 0) for j in range(e + 1)][::-1]
         if univ[-1] != 0:
-            return _yun_signature(univ, field.p)
+            return yun_signature(univ, field.p)
     raise InternalInconsistencyError("failed to dehomogenize a binary form")
 
 
@@ -307,6 +379,35 @@ def rank_one_locus_by_random_chart(pencil, field, rng: random.Random) -> int:
         repeated = _ugcd(common, _uderiv(common, p), p)
         return (len(common) - 1) - (len(repeated) - 1)
     raise InternalInconsistencyError("failed to normalize the rank-one locus")
+
+
+def dual_pencil_by_substitution(web: QuadricWeb, k):
+    """The dual pencil of a web with common kernel k, by substituting coordinates.
+
+    x -> M x with M = [e_j for j != pivot | k] moves k to the last variable,
+    which then drops out of every quadric (each expanded with
+    `LinearChange.apply`).  The dual pencil is the kernel of the
+    factorial-weighted degree-2 rows of the three-variable quadrics, each
+    kernel vector read back as the symmetric matrix of a quadric.  None when
+    that kernel does not have dimension two.
+    """
+    field = web.field
+    pivot = next(i for i, x in enumerate(k) if not field.is_zero(x))
+    others = [j for j in range(4) if j != pivot]
+    matrix = [[field.one if i == j else field.zero for j in others] + [k[i]] for i in range(4)]
+    change = LinearChange(matrix, field)
+    reduced = []
+    for q in web.quadrics:
+        t = change.apply(q)
+        if any(e[3] for e in t.terms):
+            raise InternalInconsistencyError("kernel reduction left a trailing variable")
+        reduced.append(Poly(3, field, {e[:3]: c for e, c in t.terms.items()}))
+    mons, rows = _ideal_rows(reduced, 2, weighted=True)
+    kernel = ExactMatrix(rows, field).kernel_basis()
+    if len(kernel) != 2:
+        return None
+    return [_symmetric_matrix(Poly(3, field, {w: c for w, c in zip(mons, v) if c}), 3)
+            for v in kernel]
 
 
 # -- lex-segment oracles for the growth bounds --------------------------------

@@ -33,11 +33,19 @@ from apolar import (
     random_linear_change,
     wlp_check,
 )
-from apolar.catalog import _binary_signature, _pencil_det, _rank_one_locus_degree
+from apolar.catalog import (
+    _binary_signature,
+    _common_kernel,
+    _dual_pencil,
+    _pencil_det,
+    _rank_one_locus_degree,
+    _symmetric_matrix,
+)
 from apolar.linalg import ExactMatrix
 from apolar.poly import LinearChange, Poly
 from oracles import (
     binary_signature_by_random_chart,
+    dual_pencil_by_substitution,
     pencil_form,
     poly_det,
     random_form,
@@ -250,6 +258,12 @@ class TestClassifier:
                 "label": label.value,
             }
 
+    def test_characteristic_at_most_four_rejected(self):
+        # root multiplicities of the degree-4 pencil determinant need p > 4
+        web = orbit_representative(OrbitLabel.IV, GF(3))
+        with pytest.raises(ValueError, match="p > 4"):
+            classify_web_report(web, seed=1)
+
     @pytest.mark.parametrize("p", [101, 10007])
     def test_conjugates_round_trip_small_primes(self, p):
         field = GF(p)
@@ -273,12 +287,24 @@ def _linear_factors(p: int):
                      st.tuples(coefficient, coefficient).filter(any))
 
 
+def _irreducible_quadratics(p: int):
+    """Coefficients (1, 0, -n) of alpha^2 - n beta^2, n a non-residue: two roots outside F_p."""
+    nonresidue = st.integers(1, p - 1).filter(lambda n: pow(n, (p - 1) // 2, p) == p - 1)
+    return nonresidue.map(lambda n: (1, 0, p - n))
+
+
 @st.composite
 def factored_binary_forms(draw):
-    """A field and a binary form given as a scale times linear factors with multiplicities."""
+    """A field and a binary form given as a scale times factors with multiplicities.
+
+    Each factor is a coefficient tuple of alpha^(e-j) beta^j, j = 0..e: a
+    linear form or an irreducible quadratic.
+    """
     field = draw(st.sampled_from(BINARY_FIELDS))
-    factors = draw(st.lists(st.tuples(_linear_factors(field.p), st.integers(1, 3)), max_size=4))
-    return field, draw(st.integers(1, field.p - 1)), factors
+    p = field.p
+    factor = st.one_of(_linear_factors(p), _irreducible_quadratics(p))
+    factors = draw(st.lists(st.tuples(factor, st.integers(1, 3)), max_size=4))
+    return field, draw(st.integers(1, p - 1)), factors
 
 
 def _coefficients(form: Poly, e: int) -> list[int]:
@@ -289,15 +315,24 @@ def _coefficients(form: Poly, e: int) -> list[int]:
 @given(factored_binary_forms(), st.integers(0, 2**32 - 1))
 @example((GF(101), 5, [((0, 1), 2), ((1, 100), 1)]), 0)
 @example((FP, 1, [((0, 1), 3)]), 0)
+@example((GF(101), 3, [((1, 0, 99), 2), ((1, 0, 99), 1), ((0, 1), 1)]), 0)
 def test_binary_signature_matches_random_chart(form, seed):
     field, scale, factors = form
     poly = Poly.constant(2, field, scale)
-    for (a, b), k in factors:
-        poly = poly * Poly(2, field, {(1, 0): a, (0, 1): b}) ** k
-    e = sum(k for _, k in factors)
+    for f, k in factors:
+        poly = poly * Poly(2, field, {(len(f) - 1 - j, j): c for j, c in enumerate(f)}) ** k
+    e = sum((len(f) - 1) * k for f, k in factors)
     expected = binary_signature_by_random_chart(poly, random.Random(seed))
     assert _binary_signature(_coefficients(poly, e), field.p) == expected
     assert _binary_signature([0] * (e + 1), field.p) is None
+
+
+def test_binary_signature_needs_characteristic_above_degree():
+    # over F_3 the derivative of alpha^4 is alpha^3 and that of alpha^3 is 0,
+    # so the chain of gcds with derivatives never reaches a constant
+    with pytest.raises(ValueError, match="p > 4"):
+        _binary_signature([1, 0, 0, 0, 0], 3)
+    assert _binary_signature([1, 0, 0, 0, 0], 5) == (0, 0, 0, 1)
 
 
 @st.composite
@@ -345,6 +380,25 @@ def test_pencil_det_matches_evaluated_det(field, size, data):
     value = sum(c * pow(alpha, size - j, p) * pow(beta, j, p) for j, c in enumerate(coeffs)) % p
     at_point = [[(alpha * a + beta * b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
     assert value == ExactMatrix(at_point, field).det()
+
+
+#: The orbits whose member matrices share a one-dimensional kernel.
+KERNEL_BRANCH_LABELS = [OrbitLabel.II, OrbitLabel.III, OrbitLabel.IV, OrbitLabel.V, OrbitLabel.VI,
+                        OrbitLabel.VII, OrbitLabel.VIII_X3SQ, OrbitLabel.X]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BINARY_FIELDS), st.sampled_from(KERNEL_BRANCH_LABELS),
+       st.integers(0, 2**32 - 1))
+def test_dual_pencil_matches_substitution(field, label, seed):
+    web = orbit_representative(label, field).transformed(
+        random_linear_change(4, field, random.Random(seed)))
+    mats = [_symmetric_matrix(q, 4) for q in web.quadrics]
+    kernel = _common_kernel(mats, field)
+    assert len(kernel) == 1
+    pencil = _dual_pencil(mats, kernel[0], field)
+    assert pencil is not None
+    assert pencil == dual_pencil_by_substitution(web, kernel[0])
 
 
 class TestInverseSystemSample:

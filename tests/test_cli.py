@@ -257,6 +257,16 @@ def test_undeclared_flag_is_rejected(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--trials", "40"], ["--field", "fp:10007"],
+                                   ["--field", "q", "--trials", "2"]])
+def test_perazzo_check_flags_need_seed(capsys, flags):
+    # --field and --trials only reach the optional WLP check, which --seed turns on
+    code, out, err = run(capsys, "perazzo", "3", *flags, "--json")
+    assert code == 2 and not out
+    assert "--seed" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
 def test_every_declared_flag_is_read_back(tmp_path, capsys):
     form, web = tmp_path / "form.txt", tmp_path / "web.txt"
     form.write_text(PERAZZO3)
@@ -371,6 +381,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "hf", "X1^5 + X2^5", "--field", "fp:5")
         assert code == 2 and "characteristic p > deg F" in err
         assert "positive" not in err
+
+    def test_classify_characteristic_at_most_four_is_two(self, capsys):
+        code, out, err = run(capsys, "classify", WEB, "--field", "fp:3", "--seed", "3", "--json")
+        assert code == 2 and not out
+        assert "characteristic p > 4" in err
 
     def test_uncertified_modulus_is_two(self, capsys):
         code, out, err = run(capsys, "hf", "X1^3+X2^3", "--field",
