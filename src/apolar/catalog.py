@@ -121,6 +121,18 @@ class QuadricWeb:
         if self.coefficient_matrix().rank() != 4:
             raise ValueError("web quadrics are linearly dependent")
 
+    @classmethod
+    def _trusted(cls, quadrics: list[Poly], field) -> "QuadricWeb":
+        """Wrap ``quadrics`` without the checks of ``__init__``.
+
+        Only for the image of a web under an invertible change: it keeps
+        nonzero quadrics nonzero and independent ones independent.
+        """
+        web = object.__new__(cls)
+        web.quadrics = quadrics
+        web.field = field
+        return web
+
     def coefficient_matrix(self) -> ExactMatrix:
         return ExactMatrix(_ideal_rows(self.quadrics, 2)[1], self.field)
 
@@ -129,6 +141,8 @@ class QuadricWeb:
 
         A quadric x^T S x becomes x^T (M^T S M) x, so each image is read off
         the congruent symmetric matrix instead of expanding the substitution.
+        A `LinearChange` is invertible, so the image is a web without
+        ranking its coefficient matrix again.
         """
         if change.n != 4 or change.field != self.field:
             raise ValueError("coordinate change must act on the web's four variables and field")
@@ -159,8 +173,8 @@ class QuadricWeb:
                         exp[i] += 1
                         exp[j] += 1
                         terms[tuple(exp)] = acc
-            out.append(Poly(4, field, terms))
-        return QuadricWeb(out)
+            out.append(Poly._trusted(4, field, terms))
+        return QuadricWeb._trusted(out, field)
 
     def map_to_field(self, field) -> "QuadricWeb":
         return QuadricWeb([q.map_to_field(field) for q in self.quadrics])

@@ -135,6 +135,8 @@ class PrimeField:
         return k % self.p
 
     def from_fraction(self, num: int, den: int = 1):
+        if den == 1:
+            return num % self.p
         if den % self.p == 0:
             raise ZeroDivisionError(f"denominator {den} vanishes mod {self.p}")
         return num * pow(den, self.p - 2, self.p) % self.p

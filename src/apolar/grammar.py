@@ -5,12 +5,27 @@ factor   = variable ['^' positive-int]
 variable = ('X' | 'x') positive-int
 coefficient = integer | integer '/' positive-integer
 
-Whitespace is insignificant, variables are 1-indexed, and the ambient
-variable count is supplied by the caller.  A bare coefficient with no factor
-is additionally accepted so constants round-trip.
+Whitespace is insignificant between terms and around '*', but a '/', a
+'^' and a variable index follow what they belong to directly.  Variables
+are 1-indexed, and the ambient variable count is supplied by the caller.  A
+bare coefficient with no factor is additionally accepted so constants
+round-trip.
+
+Each term is read by one compiled regular expression, `_TERM`: the sign,
+the coefficient and denominator, and the factors as one span, which
+`_FACTOR` splits into indices and exponents.  Since the content of a term is
+optional in `_TERM`, every text matches; a term whose match is empty or
+stops before the next sign or the end of the text is a syntax error, which
+`_syntax_error` names from the character where the match stopped.  Range
+checks run term by term in text order, so an error is reported at the same
+offset a left-to-right reader would stop at.  Digits are decimal digits,
+the ones int() reads: a digit such as a superscript two ends the number
+before it and is a syntax error.
 """
 
 from __future__ import annotations
+
+import re
 
 from .fields import QQ
 from .poly import Poly
@@ -24,108 +39,101 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect_int(self, what: str) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if not self.peek().isdigit():
-            raise ParseError(f"expected {what}", self.pos)
-        while self.peek().isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+# one factor, its index and its exponent; \d is what int() reads
+_FACTOR = re.compile(r"[Xx](-?\d+)(?:\^(-?\d+))?")
+_F = r"[Xx]-?\d+(?:\^-?\d+)?"
+# one term with its sign and the whitespace around it: a coefficient, an
+# optional denominator and '*'-led factors (groups 2-4), or factors alone
+# (group 5); the content may be missing, so every text matches
+_TERM = re.compile(
+    rf"\s*([+-]?)\s*(?:(-?\d+)(?:/(-?\d+))?((?:\s*\*\s*{_F})*)|({_F}(?:\s*\*\s*{_F})*))?(\s*)"
+)
 
 
 def parse_poly(text: str, n: int, field=QQ) -> Poly:
-    """Parse grammar text into a polynomial with ``n`` ambient variables."""
-    sc = _Scanner(text)
-    terms: dict = {}
-    sc.skip_ws()
-    if sc.pos == len(text):
+    """Parse grammar text into a polynomial with ``n`` ambient variables.
+
+    Each term, with its sign and the whitespace around it, is one match of
+    `_TERM`, and its factors are read back with `_FACTOR`.  The range checks
+    run in text order; a term that is missing or not followed by a sign or
+    the end goes to `_syntax_error`.
+    """
+    if not text or text.isspace():
         raise ParseError("empty input", 0)
-    first = True
+    terms: dict = {}
+    pos = 0
     while True:
-        sign = 1
-        if sc.peek() in "+-":
-            if sc.peek() == "-":
-                sign = -1
-            sc.pos += 1
-            sc.skip_ws()
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", sc.pos)
-        exp, coeff = _parse_term(sc, n, field, sign)
-        terms[exp] = field.add(terms.get(exp, field.zero), coeff)
-        first = False
-        sc.skip_ws()
-        if sc.pos == len(text):
-            return Poly(n, field, terms)
-        if sc.peek() not in "+-":
-            raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
-
-
-def _parse_term(sc: _Scanner, n: int, field, sign: int) -> tuple[tuple[int, ...], object]:
-    """One term as (exponent, signed coefficient); the coefficient may be zero."""
-    sc.skip_ws()
-    coeff = field.one
-    have_coeff = False
-    if sc.peek().isdigit() or sc.peek() == "-":
-        num = sc.expect_int("coefficient")
-        den = 1
-        if sc.peek() == "/":
-            sc.pos += 1
-            den_pos = sc.pos
-            den = sc.expect_int("denominator")
-            if den <= 0:
-                raise ParseError("denominator must be positive", den_pos)
-        try:
-            coeff = field.from_fraction(num, den)
-        except ZeroDivisionError:
-            raise ParseError("denominator vanishes in this field", sc.pos) from None
-        have_coeff = True
-    exp = [0] * n
-    have_factor = False
-    while True:
-        sc.skip_ws()
-        if have_coeff or have_factor:
-            if sc.peek() != "*":
-                break
-            sc.pos += 1
-            sc.skip_ws()
-        if sc.peek() not in ("X", "x"):
-            if have_factor or have_coeff:
-                raise ParseError("expected a variable after '*'", sc.pos)
-            raise ParseError("expected a coefficient or a variable", sc.pos)
-        sc.pos += 1
-        idx_pos = sc.pos
-        index = sc.expect_int("variable index")
-        if not 1 <= index <= n:
-            raise ParseError(f"variable index {index} out of range 1..{n}", idx_pos)
-        power = 1
-        if sc.peek() == "^":
-            sc.pos += 1
-            pow_pos = sc.pos
-            power = sc.expect_int("exponent")
+        m = _TERM.match(text, pos)
+        sign, num, den, tail, lead, _ = m.groups()
+        coeff = field.one
+        if num is not None:
+            num, d = int(num), 1
+            if den is not None:
+                d = int(den)
+                if d <= 0:
+                    raise ParseError("denominator must be positive", m.start(3))
+            try:
+                coeff = field.from_fraction(num, d)
+            except ZeroDivisionError:
+                raise ParseError("denominator vanishes in this field", m.end(3)) from None
+        empty = num is None and lead is None
+        span = m.span(5 if num is None else 4)
+        factors = [] if empty else _FACTOR.findall(text, *span)
+        exp = [0] * n
+        for k, (index, power) in enumerate(factors):
+            index = int(index)
+            if not 1 <= index <= n:
+                raise ParseError(f"variable index {index} out of range 1..{n}",
+                                 _factor_offset(text, span, k, 1))
+            power = int(power) if power else 1
             if power <= 0:
-                raise ParseError("exponent must be positive", pow_pos)
-        exp[index - 1] += power
-        have_factor = True
-        # a bare coefficient term ends here if no '*' follows
-    if not have_factor and not have_coeff:
-        raise ParseError("empty term", sc.pos)
-    if sign < 0:
-        coeff = field.neg(coeff)
-    return tuple(exp), coeff
+                raise ParseError("exponent must be positive", _factor_offset(text, span, k, 2))
+            exp[index - 1] += power
+        pos = m.end()
+        if empty or (pos < len(text) and text[pos] not in "+-"):
+            slash = num is not None and den is None and not tail
+            _syntax_error(text, pos, m.start(6), empty, slash, bool(factors) and not factors[-1][1])
+        if sign == "-":
+            coeff = field.neg(coeff)
+        key = tuple(exp)
+        terms[key] = field.add(terms.get(key, field.zero), coeff)
+        if pos == len(text):
+            return Poly._trusted(n, field, {e: c for e, c in terms.items() if not field.is_zero(c)})
+
+
+def _factor_offset(text: str, span, k: int, group: int) -> int:
+    """Where group `group` (index or exponent) of the k-th factor in `span` starts."""
+    return list(_FACTOR.finditer(text, *span))[k].start(group)
+
+
+def _syntax_error(text: str, pos: int, end: int, empty: bool, slash: bool, caret: bool):
+    """Raise the error for a term whose match stopped at `pos`.
+
+    `end` is where its content stopped, before the whitespace; `empty` says
+    that there was none, and `slash` and `caret` that a '/' or '^' right
+    there would have begun a denominator or an exponent.  A missing integer
+    is reported after the '-' that may open it.
+    """
+    def missing(what, at):
+        raise ParseError(f"expected {what}", at + (text[at:at + 1] == "-"))
+
+    c = text[pos:pos + 1]
+    if empty:
+        if c == "-":
+            missing("coefficient", pos)
+        if c in ("X", "x"):
+            missing("variable index", pos + 1)
+        raise ParseError("expected a coefficient or a variable", pos)
+    if pos == end and (c == "/" and slash):
+        missing("denominator", pos + 1)
+    if pos == end and (c == "^" and caret):
+        missing("exponent", pos + 1)
+    if c == "*":
+        at = len(text) - len(text[pos + 1:].lstrip())
+        if text[at:at + 1] in ("X", "x"):
+            missing("variable index", at + 1)
+        raise ParseError("expected a variable after '*'", at)
+    raise ParseError(f"unexpected character {c!r}", pos)
 
 
 def _format_coeff(c, field) -> str:

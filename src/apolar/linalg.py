@@ -1,7 +1,14 @@
 """Dense exact matrices and the one row reduction per field that serves them.
 
 Rank, determinant, pivot columns, kernel and inverse are all read off a
-single row-reduction routine for each field family:
+single row-reduction routine for each field family.  Both families first
+normalise the rows (mod p, or cleared of denominators) and pass them through
+one pre-pass, `_peel`, the first step of structured Gaussian elimination
+(LaMacchia and Odlyzko, "Solving large sparse linear systems over finite
+fields", CRYPTO 1990): a row with a single nonzero, at column c, makes c a
+pivot column whose reduced row is the unit row e_c, so that row and column c
+are dropped, repeatedly, together with the zero rows and columns.  Only the
+rows and columns left reach the elimination:
 
 - over F_p, `_eliminate_mod` runs Gaussian elimination on packed rows:
   each row is one Python int with a slot of w bits per column, where
@@ -16,17 +23,19 @@ single row-reduction routine for each field family:
   fraction-free Gauss-Jordan elimination: every pivot ends equal to the last
   one, D, and the reduced row echelon form is the integer matrix over D.
 
-Everything is deliberately dense: the matrices at play are desk scale.
+Matrices are dense lists: the ones at play are desk scale, and the sparse
+ones (ideal and inverse-system rows of a quadric web, catalecticants of
+sparse forms) mostly peel away before the dense elimination starts.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import lcm, prod
 
-from .fields import PrimeField
+from .fields import QQ, PrimeField
 
 
 class ExactMatrix:
@@ -62,12 +71,12 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        return len(_echelon(self.entries, self.field, False)[1])
+        return len(_echelon(self.entries, self.field, False)[0])
 
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, det = _echelon(self.entries, self.field, False)
+        pivots, det, _ = _echelon(self.entries, self.field, False)
         if len(pivots) < self.rows:
             return self.field.zero
         if isinstance(self.field, PrimeField):
@@ -78,10 +87,11 @@ class ExactMatrix:
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel {v : M v = 0}, read off the reduced echelon form.
 
-        One vector per free column: 1 there, 0 at the other free columns.
+        One vector per free column: 1 there, 0 at the other free columns.  A
+        peeled pivot column keeps its 0, since its reduced row is a unit row.
         """
         F = self.field
-        m, pivots = _rref(self.entries, F)
+        pivots, _, rows = _echelon(self.entries, F, True)
         pivot_set = set(pivots)
         basis = []
         for fc in range(self.cols):
@@ -89,74 +99,171 @@ class ExactMatrix:
                 continue
             v = [F.zero] * self.cols
             v[fc] = F.one
-            for row, pc in zip(m, pivots):
+            for pc, row in rows:
                 v[pc] = F.neg(row[fc])
             basis.append(v)
         return basis
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the pivots of the row echelon form."""
-        return _echelon(self.entries, self.field, False)[1]
+        return _echelon(self.entries, self.field, False)[0]
 
     def inverse_entries(self) -> list[list]:
-        """Entries of the inverse matrix: the right half of the reduced form of [M | I]."""
+        """Entries of the inverse matrix: the right half of the reduced form of [M | I].
+
+        Every row of [M | I] has a nonzero in I, so a singleton row is a zero
+        row of M and nothing is peeled unless M is singular.
+        """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         F = self.field
         n = self.rows
         augmented = [row + [F.one if j == i else F.zero for j in range(n)]
                      for i, row in enumerate(self.entries)]
-        m, pivots = _rref(augmented, F)
+        pivots, _, rows = _echelon(augmented, F, True)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return [row[n:] for row in m]
+        return [row[n:] for _, row in rows]
 
 
 def _echelon(entries, field, reduced: bool):
-    """Row-reduce `entries`: (rows, pivot columns, det).
+    """Row-reduce `entries`: (pivot columns, det, reduced rows).
 
-    `det` is the determinant when the pivots fill the rows of a square
-    matrix.  Over QQ each row is first scaled by the lcm of its denominators,
-    so the rows are integers and `det` is that of the scaled rows.
+    The rows are normalised first: reduced mod p over F_p, scaled by the lcm
+    of their denominators over QQ (so the rows are integers and `det` is that
+    of the scaled rows).  `_peel` then takes out the singleton rows, and the
+    field's elimination reduces the rows and columns that are left.  `det` is
+    the determinant when the pivots fill the rows of a square matrix: the
+    sign of the peel order times the peeled entries times the determinant of
+    the rest.  With `reduced`, `rows` pairs each pivot column the elimination
+    found with its row of the reduced row echelon form, full width, as field
+    elements; a peeled pivot c has the unit row e_c and no entry there.
     """
-    if isinstance(field, PrimeField):
-        return _eliminate_mod(entries, field.p, reduced)
-    m = [_cleared(row) for row in entries]
-    return (m, *_eliminate_int(m, reduced))
+    cols = len(entries[0]) if entries else 0
+    prime = isinstance(field, PrimeField)
+    if not prime:
+        m = [_cleared(row) for row in entries]
+    elif _out_of_range(entries, field.p):
+        m = [[x % field.p for x in row] for row in entries]
+    else:
+        m = entries
+    peeled, rest, kept = _peel(m, cols)
+    if len(rest) == len(m) and all(kept):
+        keep, sub = range(cols), m
+    else:
+        keep = list(compress(range(cols), kept))
+        sub = [list(compress(m[i], kept)) for i in rest]
+    n = len(keep)
+    if prime:
+        found, det, rows = _eliminate_mod(sub, field.p, reduced)
+    else:
+        found, det = _eliminate_int(sub, reduced)
+        last = sub[len(found) - 1][found[-1]] if found else 1
+        rows = [[Fraction(x, last) for x in row] for row in sub[:len(found)]] if reduced else []
+    if n < cols:
+        found = [keep[c] for c in found]
+        zero = field.zero
+        for k, row in enumerate(rows):
+            full = [zero] * cols
+            for j, x in zip(keep, row):
+                full[j] = x
+            rows[k] = full
+    pivots = found
+    if peeled:
+        pivots = sorted(found + [c for _, c in peeled])
+        if len(pivots) == len(entries) == cols:
+            det *= _sign([i for i, _ in peeled] + rest) * _sign([c for _, c in peeled] + keep)
+            det *= prod(m[i][c] for i, c in peeled)
+            if prime:
+                det %= field.p
+    return pivots, det, list(zip(found, rows))
 
 
-def _rref(entries, field):
-    """The nonzero rows of the reduced row echelon form, as field elements, and its pivots."""
-    m, pivots, _ = _echelon(entries, field, True)
-    if isinstance(field, PrimeField) or not pivots:
-        return m, pivots
-    m = m[:len(pivots)]
-    last = m[-1][pivots[-1]]
-    return [[Fraction(x, last) for x in row] for row in m], pivots
+def _peel(m, cols: int):
+    """Singleton-row pre-pass of structured Gaussian elimination: (peeled, rest, kept).
+
+    A row whose only nonzero is at column c makes c a pivot column: column
+    c is independent of every column left of it, and its reduced echelon
+    row is the unit row e_c, so x_c = 0 in every kernel vector.  That row and
+    column c are dropped, which may leave other rows with one nonzero, and
+    so on until no row is a singleton (LaMacchia and Odlyzko, "Solving large
+    sparse linear systems over finite fields", CRYPTO 1990).  Every dropped
+    row is zero outside the dropped columns, so the rank profile and the
+    reduced rows of the rest are those of the whole matrix.
+
+    `m` holds normalised rows, so that a zero entry is the int 0.  Returns
+    the (row, column) pairs in the order they were peeled, the indices of
+    the rows left, none of them zero, and the mask of the columns left, none
+    of them zero in those rows.  Without a singleton row this is the scan
+    for zero rows and columns alone.
+    """
+    weights = [cols - row.count(0) for row in m]
+    if 1 not in weights:
+        # a row without zeros already shows that no column is zero
+        kept = [True] * cols if cols in weights else [any(c) for c in zip(*m)]
+        return [], list(compress(range(len(m)), weights)), kept
+    support = [list(compress(range(cols), row)) for row in m]
+    through = [[] for _ in range(cols)]  # through[c]: the rows with a nonzero at column c
+    for i, row in enumerate(support):
+        for c in row:
+            through[c].append(i)
+    kept = list(map(bool, through))
+    peeled = []
+    queue = [i for i, w in enumerate(weights) if w == 1]
+    for i in queue:
+        if weights[i] != 1:
+            continue  # its last nonzero went with an earlier peel
+        c = next(c for c in support[i] if kept[c])
+        weights[i] = 0
+        kept[c] = False
+        peeled.append((i, c))
+        for r in through[c]:
+            if weights[r]:
+                weights[r] -= 1
+                if weights[r] == 1:
+                    queue.append(r)
+    return peeled, list(compress(range(len(m)), weights)), kept
+
+
+def _out_of_range(entries, p: int) -> bool:
+    """Whether some entry lies outside [0, p); only the nonzero ones are compared."""
+    nonzero = list(chain.from_iterable(map(filter, repeat(None), entries)))
+    return min(nonzero, default=0) < 0 or max(nonzero, default=0) >= p
+
+
+def _sign(order) -> int:
+    """The sign of a sequence of distinct ints: -1 to the number of its inversions."""
+    return (-1) ** sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
 
 
 def _row_lcm(row) -> int:
-    return lcm(*(x.denominator for x in row))
+    """The lcm of the row's denominators.
+
+    The zero object `QQ.zero`, which every matrix builder here writes for a
+    zero, is passed over by identity, so a sparse row reads few Fractions.
+    """
+    zero = QQ.zero
+    return lcm(*(x.denominator for x in row if x is not zero))
 
 
 def _cleared(row) -> list[int]:
     """The row scaled by the lcm of its denominators; the row space is unchanged."""
-    scale = _row_lcm(row)
-    return [x.numerator * (scale // x.denominator) for x in row]
+    scale, zero = _row_lcm(row), QQ.zero
+    return [0 if x is zero else x.numerator * (scale // x.denominator) for x in row]
 
 
-def _eliminate_mod(entries, p: int, reduced: bool):
-    """Gaussian elimination mod p on packed rows: (rows, pivot columns, det).
+def _eliminate_mod(m, p: int, reduced: bool):
+    """Gaussian elimination mod p on packed rows: (pivot columns, det, rows).
 
-    Entries outside [0, p) are reduced mod p once, and the all-zero rows and
-    columns are dropped.  Each remaining row becomes one int with a
-    `size`-byte slot per column, column 0 in the highest slot, so a row's top
-    nonzero slot is its leading column; the rows wait in `leading` under that
-    column.  At column c, the pivot row is unpacked once, scaled to a leading
-    1, and its entries right of c are packed again as their negatives mod p,
-    `negtail`.  Every other row led by c is then updated by one multiply-add,
-    row += f * negtail, with f its slot at c mod p, and that slot is cleared
-    exactly.  Slots start below p and gain less than p^2 per pivot, so with
+    The rows hold entries in [0, p), and neither a row nor a column is all
+    zero.  Each row becomes one int with a `size`-byte slot per column,
+    column 0 in the highest slot, so a row's top nonzero slot is its leading
+    column; the rows wait in `leading` under that column.  At column c, the
+    pivot row is unpacked once, scaled to a leading 1, and its entries right
+    of c are packed again as their negatives mod p, `negtail`.  Every other
+    row led by c is then updated by one multiply-add, row += f * negtail,
+    with f its slot at c mod p, and that slot is cleared exactly.  Slots
+    start below p and gain less than p^2 per pivot, so with
     2 bits(p) + bits(min(rows, cols)) + 1 bits they never carry into each
     other, and no slot ever borrows.  Only the pivot column is read, by
     shift and `% p`.
@@ -168,19 +275,13 @@ def _eliminate_mod(entries, p: int, reduced: bool):
     the reduced row echelon form without its zero rows, unpacked once at the
     end; otherwise `rows` is empty.
     """
-    cols = len(entries[0]) if entries else 0
-    if cols and any(min(row) < 0 or max(row) >= p for row in entries):
-        entries = [[x % p for x in row] for row in entries]
-    nonzero = [any(column) for column in zip(*entries)]
-    keep = list(compress(range(cols), nonzero))
-    n = len(keep)
-    m = [row for row in entries if any(row)]
+    n = len(m[0]) if m else 0
     size = (2 * p.bit_length() + min(len(m), n).bit_length() + 8) // 8
     width = 8 * size
     # leading[c]: (index, packed row) for the rows whose top nonzero slot is column c
     leading = [[] for _ in range(n)]
     for i, row in enumerate(m):
-        x = _pack(compress(row, nonzero) if n < cols else row, size, n)
+        x = _pack(row, size, n)
         leading[n - 1 - (x.bit_length() - 1) // width].append((i, x))
     pivots, pivot_rows, tails = [], [], []
     det = 1
@@ -212,8 +313,8 @@ def _eliminate_mod(entries, p: int, reduced: bool):
             x += s % p * negtail - (s << shift)
             if x:
                 leading[n - 1 - (x.bit_length() - 1) // width].append((i, x))
-    if len(pivots) == len(entries) == cols:
-        det *= (-1) ** sum(a > b for k, a in enumerate(pivot_rows) for b in pivot_rows[k + 1:])
+    if len(pivots) == len(m) == n:
+        det *= _sign(pivot_rows)
     rows = []
     if reduced:
         # back substitution, last pivot first: each echelon row minus its entry
@@ -230,15 +331,9 @@ def _eliminate_mod(entries, p: int, reduced: bool):
                 acc += _pack(tail, size, n - c)
                 tail = [y % p for y in _unpack(acc, size, n - c)]
             later.append((c, _pack([-y % p for y in tail], size, n - c)))
-            if n == cols:
-                rows.append([0] * c + tail + [0] * (n - c - len(tail)))
-                continue
-            row = [0] * cols
-            for j, y in zip(keep[c:], tail):
-                row[j] = y
-            rows.append(row)
+            rows.append([0] * c + tail + [0] * (n - c - len(tail)))
         rows.reverse()
-    return rows, [keep[c] for c in pivots], det % p
+    return pivots, det % p, rows
 
 
 def _pack(values, size: int, slots: int) -> int:

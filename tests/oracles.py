@@ -16,7 +16,9 @@ dehomogenized after a random coordinate change has moved its roots off
 infinity, then split by Yun's squarefree decomposition (not the library's
 chain of gcds with derivatives), and the dual pencil of a quadric web with
 a common kernel by substituting coordinates into its quadrics (not by
-deleting a row and column of their symmetric matrices).
+deleting a row and column of their symmetric matrices), and polynomial
+text read one character per method call (not one regular-expression match
+per term).
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from math import comb, factorial, prod
 from apolar import (
     DualForm,
     ExactMatrix,
+    QQ,
     InternalInconsistencyError,
     LinearChange,
+    ParseError,
     Poly,
     QuadricWeb,
     ann_degree,
@@ -488,3 +492,106 @@ def random_form(n: int, d: int, field, rng: random.Random, density: float = 0.7)
 def random_operator(n: int, d: int, field, rng: random.Random) -> Poly:
     """A random nonzero homogeneous operator polynomial."""
     return random_form(n, d, field, rng).poly
+
+
+# -- polynomial text, one character per method call -------------------------------
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect_int(self, what: str) -> int:
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        if not self.peek().isdigit():
+            raise ParseError(f"expected {what}", self.pos)
+        while self.peek().isdigit():
+            self.pos += 1
+        return int(self.text[start:self.pos])
+
+
+def parse_poly_by_scanner(text: str, n: int, field=QQ) -> Poly:
+    """The grammar of `apolar.parse_poly`, read by a hand-written scanner."""
+    sc = _Scanner(text)
+    terms: dict = {}
+    sc.skip_ws()
+    if sc.pos == len(text):
+        raise ParseError("empty input", 0)
+    first = True
+    while True:
+        sign = 1
+        if sc.peek() in "+-":
+            if sc.peek() == "-":
+                sign = -1
+            sc.pos += 1
+            sc.skip_ws()
+        elif not first:
+            raise ParseError("expected '+' or '-' between terms", sc.pos)
+        exp, coeff = _scan_term(sc, n, field, sign)
+        terms[exp] = field.add(terms.get(exp, field.zero), coeff)
+        first = False
+        sc.skip_ws()
+        if sc.pos == len(text):
+            return Poly(n, field, terms)
+        if sc.peek() not in "+-":
+            raise ParseError(f"unexpected character {sc.peek()!r}", sc.pos)
+
+
+def _scan_term(sc: _Scanner, n: int, field, sign: int):
+    sc.skip_ws()
+    coeff = field.one
+    have_coeff = False
+    if sc.peek().isdigit() or sc.peek() == "-":
+        num = sc.expect_int("coefficient")
+        den = 1
+        if sc.peek() == "/":
+            sc.pos += 1
+            den_pos = sc.pos
+            den = sc.expect_int("denominator")
+            if den <= 0:
+                raise ParseError("denominator must be positive", den_pos)
+        try:
+            coeff = field.from_fraction(num, den)
+        except ZeroDivisionError:
+            raise ParseError("denominator vanishes in this field", sc.pos) from None
+        have_coeff = True
+    exp = [0] * n
+    have_factor = False
+    while True:
+        sc.skip_ws()
+        if have_coeff or have_factor:
+            if sc.peek() != "*":
+                break
+            sc.pos += 1
+            sc.skip_ws()
+        if sc.peek() not in ("X", "x"):
+            if have_factor or have_coeff:
+                raise ParseError("expected a variable after '*'", sc.pos)
+            raise ParseError("expected a coefficient or a variable", sc.pos)
+        sc.pos += 1
+        idx_pos = sc.pos
+        index = sc.expect_int("variable index")
+        if not 1 <= index <= n:
+            raise ParseError(f"variable index {index} out of range 1..{n}", idx_pos)
+        power = 1
+        if sc.peek() == "^":
+            sc.pos += 1
+            pow_pos = sc.pos
+            power = sc.expect_int("exponent")
+            if power <= 0:
+                raise ParseError("exponent must be positive", pow_pos)
+        exp[index - 1] += power
+        have_factor = True
+    if sign < 0:
+        coeff = field.neg(coeff)
+    return tuple(exp), coeff

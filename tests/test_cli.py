@@ -111,6 +111,8 @@ GOLDEN_SNAPSHOTS = {
     "wlp_sharpness.json": ("wlp", PERAZZO3, "--seed", "42"),
     "ann.json": ("ann", "X1^2*X2", "2"),
     "family.json": ("family", "VII", "5", "--seed", "11"),
+    "family_ix9.json": ("family", "IX", "9", "--seed", "5"),
+    "perazzo6.json": ("perazzo", "6", "--seed", "5"),
     "snake.json": ("snake", PERAZZO3, "--seed", "13"),
     "classify.json": ("classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--seed", "3"),
     "slp.json": ("slp", "X1*X5^3 + X2*X5^2*X6 + X3*X5*X6^2 + X4*X6^3", "--seed", "4"),

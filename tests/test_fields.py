@@ -75,3 +75,17 @@ def test_rational_inverse_exact(a):
 def test_prime_inverse_exact(a):
     f = GF(DEFAULT_PRIME)
     assert f.mul(a, f.inv(a)) == 1
+
+
+@given(st.sampled_from([2, 7, 101, DEFAULT_PRIME]), st.integers(-10**30, 10**30),
+       st.integers(1, 10**6))
+def test_from_fraction_times_denominator_is_numerator(p, num, den):
+    f = GF(p)
+    if den % p == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.from_fraction(num, den)
+        return
+    x = f.from_fraction(num, den)
+    assert 0 <= x < p
+    assert f.mul(x, f.from_int(den)) == f.from_int(num)
+    assert f.from_fraction(num, 1) == num % p

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import GF, QQ, ParseError, Poly, format_poly, monomials_of_degree, parse_poly
+from oracles import parse_poly_by_scanner
 
 
 def test_two_term_form():
@@ -73,3 +74,77 @@ def random_rational_poly(draw):
 @given(random_rational_poly())
 def test_parse_format_roundtrip(p):
     assert parse_poly(format_poly(p), p.n) == p
+
+
+@st.composite
+def grammar_texts(draw):
+    """Text in the grammar with drawn spacing and letter case, as (text, n)."""
+    n = draw(st.integers(1, 4))
+    space = st.sampled_from(["", " ", "  ", "\t", "\n"])
+    number = st.integers(0, 10**20).map(str)
+
+    def term():
+        pieces = []
+        if draw(st.booleans()):
+            coeff = draw(st.sampled_from(["", "-"])) + draw(number)
+            if draw(st.booleans()):
+                coeff += "/" + draw(st.sampled_from(["", "-"])) + draw(number)
+            pieces.append(coeff)
+        for _ in range(draw(st.integers(0 if pieces else 1, 3))):
+            factor = draw(st.sampled_from("Xx")) + str(draw(st.integers(1, n)))
+            if draw(st.booleans()):
+                factor += "^" + str(draw(st.integers(1, 12)))
+            pieces.append(factor)
+        star = [draw(space) + "*" + draw(space) for _ in pieces[1:]]
+        return pieces[0] + "".join(s + p for s, p in zip(star, pieces[1:]))
+
+    text = draw(space) + draw(st.sampled_from(["", "+", "-"])) + draw(space) + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(space) + draw(st.sampled_from("+-")) + draw(space) + term()
+    return text + draw(space), n
+
+
+#: the grammar's characters, other whitespace (a no-break space), a decimal
+#: digit that is not ASCII (Arabic-Indic three), a digit that is not decimal
+#: (superscript two), and characters outside the grammar
+CORRUPTIONS = "0123456789Xx*^/+- \t\n\u00a0\u0663\u00b2a.,"
+
+
+@st.composite
+def corrupted_texts(draw):
+    """A grammar text, then perhaps one character inserted, deleted or replaced."""
+    text, n = draw(grammar_texts())
+    k = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(CORRUPTIONS))
+    text = draw(st.sampled_from([
+        text, text[:k] + char + text[k:], text[:k] + text[k + 1:], text[:k] + char + text[k + 1:],
+    ]))
+    return text, n
+
+
+def _outcome(parse, text, n, field):
+    try:
+        return parse(text, n, field)
+    except ParseError as exc:
+        return str(exc), exc.position
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_texts(), st.sampled_from([QQ, GF(7), GF(2**61 - 1)]))
+def test_parser_agrees_with_scanner(case, field):
+    """The same Poly, or the same ParseError message and position, as the scanner.
+
+    One difference is by design: the scanner reads a digit that is not
+    decimal, such as a superscript two, into an integer that int() then
+    refuses with a bare ValueError; the regular expression stops before it,
+    so the parser raises a ParseError there instead.
+    """
+    text, n = case
+    want = _outcome(parse_poly_by_scanner, text, n, field)
+    got = _outcome(parse_poly, text, n, field)
+    if want is ValueError:
+        assert "\u00b2" in text and isinstance(got, tuple)
+    else:
+        assert got == want

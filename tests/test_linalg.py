@@ -142,20 +142,25 @@ def test_unreduced_entries_mean_their_residues(entries, rank, det, pivots, kerne
 
 
 @st.composite
-def field_matrices(draw):
+def field_matrices(draw, singletons: bool = False):
     """A field and a matrix of up to 7 x 7 over it, often a low-rank product.
 
     QQ entries are non-integral fractions; F_p entries are raw ints, many of
     them outside [0, p) and, over GF(7), many vanishing mod p.  Half the
     entries are zero, so that pivots meet zeros in the rows around them.
+    With `singletons`, some rows are then replaced by rows with one nonzero,
+    each perhaps with a cascade row: two nonzeros, one of them in the
+    singleton's column, so that it becomes a singleton once that is peeled.
     """
     field = draw(st.sampled_from([QQ, GF(7), FP]))
+    p = field.p if isinstance(field, PrimeField) else None
     if field == QQ:
         entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     elif field == FP:
         entry = st.one_of(st.integers(-20, 20), st.integers(0, FP.p - 1))
     else:
         entry = st.integers(-20, 20)
+    nonzero = entry.filter(lambda x: x % p != 0 if p else x != 0)
     entry = st.one_of(st.just(0), entry)
     rows = draw(st.integers(1, 7))
     cols = draw(st.one_of(st.just(rows), st.integers(1, 7)))
@@ -164,15 +169,26 @@ def field_matrices(draw):
         return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
 
     if draw(st.booleans()):
-        return field, block(rows, cols)
-    r = draw(st.integers(0, min(rows, cols)))
-    a, b = block(rows, r), block(r, cols)
-    return field, [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)]
-                   for i in range(rows)]
+        m = block(rows, cols)
+    else:
+        r = draw(st.integers(0, min(rows, cols)))
+        a, b = block(rows, r), block(r, cols)
+        m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(cols)] for i in range(rows)]
+    if singletons:
+        row, col = st.integers(0, rows - 1), st.integers(0, cols - 1)
+        for _ in range(draw(st.integers(1, rows))):
+            i, c = draw(row), draw(col)
+            m[i] = [0] * cols
+            m[i][c] = draw(nonzero)
+            k, c2 = draw(row), draw(col)
+            if k != i and c2 != c and draw(st.booleans()):
+                m[k] = [0] * cols
+                m[k][c], m[k][c2] = draw(nonzero), draw(nonzero)
+    return field, m
 
 
-@settings(max_examples=200, deadline=None)
-@given(field_matrices())
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(field_matrices(), field_matrices(singletons=True)))
 def test_derived_operations_agree_with_oracles(case):
     field, entries = case
     p = field.p if isinstance(field, PrimeField) else None
@@ -232,6 +248,21 @@ def _stress_matrix(kind: str, p: int, rng: random.Random) -> list[list[int]]:
         inner = dense(30, 30)
         return [[inner[i // 2][j // 2] if i % 2 == 0 and j % 2 == 1 else 0 for j in range(60)]
                 for i in range(60)]
+    if kind == "singleton cascade":
+        # rows 0..29 peel one after another: row 0 has one nonzero, and row k
+        # shares a column with row k - 1 and has one other; the other 30 rows
+        # are dense, and every row and column sits at a shuffled place
+        order, cols = list(range(60)), list(range(60))
+        rng.shuffle(order)
+        rng.shuffle(cols)
+        m = [[0] * 60 for _ in range(60)]
+        for k in range(30):
+            m[order[k]][cols[k]] = rng.randrange(1, p)
+            if k:
+                m[order[k]][cols[k - 1]] = rng.randrange(1, p)
+        for k in range(30, 60):
+            m[order[k]] = [rng.randrange(p) for _ in range(60)]
+        return m
     # L U with L unit lower triangular, every entry below the diagonal p - 1,
     # and U all ones on and above the diagonal: each elimination step adds
     # (p - 1)^2 to every slot right of the pivot, the largest growth there is
@@ -240,7 +271,7 @@ def _stress_matrix(kind: str, p: int, rng: random.Random) -> list[list[int]]:
 
 
 STRESS_KINDS = ["square", "tall", "wide", "tall low rank", "wide low rank", "all p-1",
-                "zero rows and columns", "largest growth"]
+                "zero rows and columns", "largest growth", "singleton cascade"]
 
 
 @pytest.mark.parametrize("kind", STRESS_KINDS)
