@@ -151,8 +151,7 @@ class QuadricWeb:
         zero = field.zero
         m = change.matrix
         out = []
-        for q in self.quadrics:
-            s = _symmetric_matrix(q, 4)
+        for s in _symmetric_matrices(self.quadrics, 4):
             sm = [[zero] * 4 for _ in range(4)]
             for i in range(4):
                 for j in range(4):
@@ -256,20 +255,23 @@ def gin2(web: QuadricWeb, trials: int, seed: int) -> tuple[tuple[int, ...], ...]
 
 # -- classifier internals ------------------------------------------------------
 
-def _symmetric_matrix(q: Poly, n: int):
-    """Symmetric matrix of a quadric (off-diagonal entries are halves)."""
-    field = q.field
+def _symmetric_matrices(quadrics, n: int) -> list:
+    """Symmetric matrices of quadrics in n variables (off-diagonal entries are halves)."""
+    field = quadrics[0].field
     half = field.inv(field.from_int(2))
-    m = [[field.zero] * n for _ in range(n)]
-    for e, c in q.terms.items():
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1:
-            i = support[0]
-            m[i][i] = c
-        else:
-            i, j = support
-            m[i][j] = m[j][i] = field.mul(c, half)
-    return m
+    mats = []
+    for q in quadrics:
+        m = [[field.zero] * n for _ in range(n)]
+        for e, c in q.terms.items():
+            support = [i for i, x in enumerate(e) if x]
+            if len(support) == 1:
+                i = support[0]
+                m[i][i] = c
+            else:
+                i, j = support
+                m[i][j] = m[j][i] = field.mul(c, half)
+        mats.append(m)
+    return mats
 
 
 def _common_kernel(mats, field) -> list[list]:
@@ -479,7 +481,7 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         raise InternalInconsistencyError(f"gin2 returned a non-Borel-fixed set {pivots}")
 
     hf = quadric_ideal_hf(web, 5)
-    mats = [_symmetric_matrix(q, 4) for q in web.quadrics]
+    mats = _symmetric_matrices(web.quadrics, 4)
     kernel = _common_kernel(mats, field)
     evidence: dict = {
         "gin2": "special",

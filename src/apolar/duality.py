@@ -13,6 +13,16 @@ A catalecticant entry is one lookup in F's coefficients scaled by e!, which
 a private record on the form keeps with its h-vector.  The record is filled
 on first use and never changes a result; a race only fills it twice.
 
+In the divided-power basis contraction is a shift of indices (Iarrobino and
+Kanev, "Power Sums, Gorenstein Algebras, and Determinantal Loci", LNM 1721,
+1999, Appendix A): if b_e = c_e e! are F's scaled coefficients, the scaled
+coefficient of g o F at e' is sum_u g_u b_(e'+u), with no factorials.  So
+`contract` gathers g o F's record straight from F's, and the contracted form
+builds its polynomial only when something reads it.  F's record keeps a weak
+map of the contractions still alive, so contracting twice by the same
+operator returns the same form, h-vector included, while the map never keeps
+a form alive.
+
 Ann(F) is an ideal of the operator ring, a domain, so once it is zero in
 one degree it is zero in every lower degree; the Hilbert function ranks
 catalecticants from the middle down and stops at the first injective one.
@@ -20,12 +30,14 @@ catalecticants from the middle down and stops at the first injective one.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .fields import PrimeField
 from .linalg import ExactMatrix
-from .poly import Poly, diff_action, monomials_of_degree, multi_factorial
+from .poly import Poly, monomials_of_degree, multi_factorial
 
 __all__ = [
     "DualForm",
@@ -83,7 +95,7 @@ class DualForm:
     legitimately land in degree 0 (the algebra is then just the ground field).
     """
 
-    __slots__ = ("poly", "n", "degree", "field", "_record")
+    __slots__ = ("_poly", "n", "degree", "field", "_record", "__weakref__")
 
     def __init__(self, poly: Poly):
         if poly.is_zero():
@@ -97,11 +109,24 @@ class DualForm:
                 f"{poly.field.p} and deg F = {degree}: the factorials in the "
                 "differentiation pairing vanish mod p"
             )
-        self.poly = poly
+        self._poly = poly
         self.n = poly.n
         self.degree = degree
         self.field = poly.field
         self._record = None
+
+    @property
+    def poly(self) -> Poly:
+        """The form as a polynomial; a contraction builds it from its record on first read."""
+        if self._poly is None:
+            field, record = self.field, self._record
+            codes = _codes(self.n, self.degree, record.base)
+            self._poly = Poly._trusted(self.n, field, {
+                e: field.div(record.scaled[c], field.from_int(multi_factorial(e)))
+                for e, c in zip(monomials_of_degree(self.n, self.degree), codes)
+                if c in record.scaled
+            })
+        return self._poly
 
     def __eq__(self, other):
         return isinstance(other, DualForm) and self.poly == other.poly
@@ -111,22 +136,30 @@ class DualForm:
 
 
 class _Record:
-    """F's coefficients times e!, keyed by `_code(e)`, and its h-vector once ranked."""
+    """Scaled coefficients, code base, h-vector once ranked, live contractions.
 
-    __slots__ = ("scaled", "h")
+    `scaled` holds F's coefficients times e!, keyed by `_code(e, base)`.  A
+    contraction keeps its parent's base, so codes stay additive down a chain
+    of contractions; `images` maps an operator's terms to its contraction of
+    F while that form is alive.
+    """
 
-    def __init__(self, F: DualForm):
-        field, base = F.field, F.degree + 1
-        self.scaled = {
-            _code(e, base): field.mul(c, field.from_int(multi_factorial(e)))
-            for e, c in F.poly.terms.items()
-        }
+    __slots__ = ("scaled", "base", "h", "images")
+
+    def __init__(self, scaled: dict, base: int):
+        self.scaled = scaled
+        self.base = base
         self.h: HVector | None = None
+        self.images = weakref.WeakValueDictionary()
 
 
 def _record(F: DualForm) -> _Record:
     if F._record is None:
-        F._record = _Record(F)
+        field = F.field
+        F._record = _Record({
+            _code(e, F.degree + 1): field.mul(c, field.from_int(multi_factorial(e)))
+            for e, c in F.poly.terms.items()
+        }, F.degree + 1)
     return F._record
 
 
@@ -136,6 +169,12 @@ def _code(exp: tuple[int, ...], base: int) -> int:
     for a in exp:
         code = code * base + a
     return code
+
+
+@lru_cache(maxsize=256)
+def _codes(n: int, degree: int, base: int) -> tuple[int, ...]:
+    """The codes of the degree-`degree` monomials, in `monomials_of_degree` order."""
+    return tuple(_code(e, base) for e in monomials_of_degree(n, degree))
 
 
 def catalecticant(F: DualForm, i: int) -> ExactMatrix:
@@ -150,10 +189,11 @@ def catalecticant(F: DualForm, i: int) -> ExactMatrix:
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
-    lookup, zero = _record(F).scaled.get, F.field.zero
-    rows = [_code(u, d + 1) for u in monomials_of_degree(F.n, i)]
-    cols = [_code(v, d + 1) for v in monomials_of_degree(F.n, d - i)]
-    return ExactMatrix([[lookup(r + c, zero) for c in cols] for r in rows], F.field)
+    record = _record(F)
+    lookup, zero = record.scaled.get, F.field.zero
+    cols = _codes(F.n, d - i, record.base)
+    return ExactMatrix([[lookup(r + c, zero) for c in cols]
+                        for r in _codes(F.n, i, record.base)], F.field)
 
 
 def hilbert_function(F: DualForm) -> HVector:
@@ -244,6 +284,12 @@ def contract(g: Poly, F: DualForm) -> DualForm | None:
     For homogeneous g of degree s <= d this is the dual generator of the
     Gorenstein quotient A / (0 : g); the None case means that quotient is the
     zero ring (its Hilbert function vanishes in every degree).
+
+    It is computed in the divided-power basis: the scaled coefficient of
+    g o F at a degree-(d - s) exponent e' is sum_u g_u b_(e'+u), one lookup
+    per term of g in F's scaled coefficients b.  The result shares F's code
+    base and builds its `poly` only when read; while it is alive, contracting
+    F by the same g again returns it.
     """
     if g.is_zero():
         raise ValueError("contraction by the zero polynomial")
@@ -251,10 +297,36 @@ def contract(g: Poly, F: DualForm) -> DualForm | None:
         raise ValueError("contraction requires a homogeneous operator")
     if g.degree() > F.degree:
         raise ValueError(f"operator degree {g.degree()} exceeds socle degree {F.degree}")
-    image = diff_action(g, F.poly)
-    if image.is_zero():
+    g._check_compatible(F)  # reads only n and field, which a DualForm has too
+    record = _record(F)
+    key = frozenset(g.terms.items())
+    image = record.images.get(key)
+    if image is not None:
+        return image
+    field, base, degree = F.field, record.base, F.degree - g.degree()
+    lookup = record.scaled.get
+    shifts = [(_code(u, base), c) for u, c in g.terms.items()]
+    # payloads are Fractions or ints in [0, p): sum them raw, reduce mod p once
+    p = field.p if isinstance(field, PrimeField) else None
+    scaled = {}
+    for code in _codes(F.n, degree, base):
+        acc = 0
+        for shift, c in shifts:
+            b = lookup(code + shift)
+            if b is not None:
+                acc += c * b
+        if p is not None:
+            acc %= p
+        if acc:
+            scaled[code] = acc
+    if not scaled:
         return None
-    return DualForm(image)
+    image = object.__new__(DualForm)
+    image._poly = None
+    image.n, image.degree, image.field = F.n, degree, field
+    image._record = _Record(scaled, base)
+    record.images[key] = image
+    return image
 
 
 def hf_modulo_linear(F: DualForm, ell: Poly) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 Each oracle deliberately takes a different computational route from the
-library path it checks: Hilbert functions and pairing rows via
-differentiation built out of polynomial arithmetic (not the
-coefficient-times-factorial closed form of the catalecticant),
+library path it checks: Hilbert functions, pairing rows and contractions
+via differentiation built out of polynomial arithmetic (not the
+coefficient-times-factorial closed form of the catalecticant, nor the
+index shift of the divided-power basis),
 multiplication ranks via the perfect pairing on quotient bases, snake
 ledger ranks from those and from spans of naive pairing rows,
 coordinate changes by multiplying out linear factors one at a time,
@@ -43,7 +44,7 @@ from apolar import (
     quotient_basis,
     random_linear_change,
 )
-from apolar.catalog import _ideal_rows, _symmetric_matrix
+from apolar.catalog import _ideal_rows, _symmetric_matrices
 
 
 def differentiation_matrix(F: DualForm, i: int) -> ExactMatrix:
@@ -75,6 +76,12 @@ def pairing_rows_naive(F: DualForm, operators: list[Poly], i: int) -> ExactMatri
         rows.append([field.mul(image.coefficient(v), field.from_int(prod(map(factorial, v))))
                      for v in cols])
     return ExactMatrix(rows, field)
+
+
+def contract_by_differentiation(g: Poly, F: DualForm) -> DualForm | None:
+    """g applied to F term by term with falling factorials, or None when it vanishes."""
+    image = diff_action(g, F.poly)
+    return None if image.is_zero() else DualForm(image)
 
 
 def hf_by_kernels(F: DualForm) -> tuple[int, ...]:
@@ -123,8 +130,7 @@ def snake_ranks_naive(F: DualForm, g: Poly, ell: Poly) -> list[tuple[int, int, i
     field = F.field
     d = F.degree
     s = g.degree()
-    image = diff_action(g, F.poly)
-    B = None if image.is_zero() else DualForm(image)
+    B = contract_by_differentiation(g, F)
 
     def span(ops, j):
         return pairing_rows_naive(F, ops, j).rank() if ops else 0
@@ -410,8 +416,8 @@ def dual_pencil_by_substitution(web: QuadricWeb, k):
     kernel = ExactMatrix(rows, field).kernel_basis()
     if len(kernel) != 2:
         return None
-    return [_symmetric_matrix(Poly(3, field, {w: c for w, c in zip(mons, v) if c}), 3)
-            for v in kernel]
+    return _symmetric_matrices(
+        [Poly(3, field, {w: c for w, c in zip(mons, v) if c}) for v in kernel], 3)
 
 
 # -- lex-segment oracles for the growth bounds --------------------------------

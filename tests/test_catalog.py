@@ -39,7 +39,7 @@ from apolar.catalog import (
     _dual_pencil,
     _pencil_det,
     _rank_one_locus_degree,
-    _symmetric_matrix,
+    _symmetric_matrices,
 )
 from apolar.linalg import ExactMatrix
 from apolar.poly import LinearChange, Poly
@@ -393,7 +393,7 @@ KERNEL_BRANCH_LABELS = [OrbitLabel.II, OrbitLabel.III, OrbitLabel.IV, OrbitLabel
 def test_dual_pencil_matches_substitution(field, label, seed):
     web = orbit_representative(label, field).transformed(
         random_linear_change(4, field, random.Random(seed)))
-    mats = [_symmetric_matrix(q, 4) for q in web.quadrics]
+    mats = _symmetric_matrices(web.quadrics, 4)
     kernel = _common_kernel(mats, field)
     assert len(kernel) == 1
     pencil = _dual_pencil(mats, kernel[0], field)

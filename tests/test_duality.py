@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -34,6 +36,7 @@ from apolar import duality
 from apolar.duality import pairing_rows
 from oracles import (
     ann_dimension_by_kernel,
+    contract_by_differentiation,
     hf_by_kernels,
     in_span_of_ann,
     pairing_rows_naive,
@@ -210,6 +213,15 @@ def test_pairing_rows_agree_with_differentiation(case):
     assert catalecticant(F, i) == pairing_rows_naive(F, basis, i)
 
 
+def _contracted(G):
+    return None if G is None else (G.poly, tuple(hilbert_function(G)))
+
+
+def _contracted_twice(F, ell):
+    L = contract(ell, F)
+    return _contracted(L if L is None or L.degree == 0 else contract(ell, L))
+
+
 # each call reads or fills the private record of the form it is given
 RECORD_CALLS = {
     "hilbert_function": lambda F, i, ell, g: tuple(hilbert_function(F)),
@@ -218,6 +230,8 @@ RECORD_CALLS = {
     "hf_modulo_linear": lambda F, i, ell, g: hf_modulo_linear(F, ell),
     "snake_consistency": lambda F, i, ell, g: snake_consistency(F, g, ell).to_dict(),
     "wlp_check": lambda F, i, ell, g: wlp_check(F, 2, i).to_dict(),
+    "contract": lambda F, i, ell, g: _contracted(contract(g, F)),
+    "contract_twice": lambda F, i, ell, g: _contracted_twice(F, ell),
 }
 
 
@@ -417,6 +431,92 @@ class TestContract:
         F = DF("X1^2*X2", 2)
         out = contract(parse_poly("X1^2*X2", 2), F)
         assert out is not None and out.degree == 0
+
+    @pytest.mark.parametrize("g, n, field, message", [
+        ("0", 2, QQ, "zero polynomial"),
+        ("x1 + x2^2", 2, QQ, "homogeneous"),
+        ("x1^4", 2, QQ, "exceeds socle degree"),
+        ("x1", 3, QQ, "variable counts differ"),
+        ("x1", 2, FP, "fields differ"),
+    ])
+    def test_rejected_operators(self, g, n, field, message):
+        with pytest.raises(ValueError, match=message):
+            contract(parse_poly(g, n, field), DF("X1^2*X2", 2))
+
+    def test_live_contraction_is_shared(self):
+        F = DF("X1^3*X2 + 2*X2^2*X3^2 - X1*X2*X3^2", 3)
+        B = contract(parse_poly("x1 + 2*x2 - x3", 3), F)
+        assert B._poly is None  # built on first read
+        h = hilbert_function(B)
+        # equal terms, another Poly: the same form, h-vector ranked once
+        again = contract(parse_poly("x1 + 2*x2 - x3", 3), F)
+        assert again is B and hilbert_function(again) is h
+        assert B.poly == diff_action(parse_poly("x1 + 2*x2 - x3", 3), F.poly)
+        assert contract(parse_poly("x1 + 2*x2 + x3", 3), F) is not B
+        alive = weakref.ref(B)
+        del B, again
+        gc.collect()
+        assert alive() is None
+        assert not duality._record(F).images
+
+
+@st.composite
+def contraction_cases(draw):
+    """A form F, an operator g of degree 0..d and a linear form ell.
+
+    QQ coefficients are non-integral fractions; GF(7) keeps p > d.  When
+    `annihilating` is drawn, F is free of x_n and x_n divides g, so g o F = 0.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+    else:
+        coeff = st.integers(1, field.p - 1)
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5 if field == GF(7) else 6))
+    annihilating = n > 1 and draw(st.booleans())
+
+    def poly(degree, max_terms, variables=n):
+        mons = [m for m in monomials_of_degree(n, degree) if not any(m[variables:])]
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=max_terms,
+                               unique=True))
+        return Poly(n, field, {m: draw(coeff) for m in chosen})
+
+    F = DualForm(poly(d, 8, n - 1 if annihilating else n))
+    if annihilating:
+        g = Poly.variable(n, field, n) * poly(draw(st.integers(0, d - 1)), 4)
+    else:
+        g = poly(draw(st.integers(0, d)), 4)
+    return F, g, poly(1, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(contraction_cases())
+@example((DF("X1^2*X2", 2), parse_poly("x2^2", 2), parse_poly("x1 + x2", 2)))
+@example((DualForm(perazzo_dual_form(4).poly.map_to_field(GF(7))),
+          parse_poly("x1*x5 + 3*x2*x6", 6, GF(7)), parse_poly("x5 - x6", 6, GF(7))))
+def test_contract_agrees_with_differentiation(case):
+    # the index shift on the scaled record against falling factorials, for
+    # g o F, for ell o (ell o F) and for ell o (g o F), each checked on its
+    # h-vector before its polynomial is read
+    F, g, ell = case
+
+    def agree(G, want):
+        assert (G is None) == (want is None)
+        if G is not None:
+            assert G.degree == want.degree
+            assert hilbert_function(G) == hilbert_function(want)
+            assert G.poly == want.poly
+
+    for H, want in ((F, F), (contract(g, F), contract_by_differentiation(g, F))):
+        agree(H, want)
+        if H is None or H.degree == 0:
+            continue
+        L = contract(ell, H)
+        want_L = contract_by_differentiation(ell, want)
+        agree(L, want_L)
+        if L is not None and L.degree > 0:
+            agree(contract(ell, L), contract_by_differentiation(ell, want_L))
 
 
 class TestHfModuloLinear:
