@@ -2,10 +2,12 @@
 
 The catalog covers the twelve four-dimensional spaces of quadrics in four
 variables that occur (up to coordinate change) as degree-two parts of the
-relevant ideals, with their Hilbert functions; a conjugation-invariant
-classifier that reads its invariants off the quadrics' symmetric matrices;
-degree-two generic initial ideals under lex; inverse-system samplers; and
-the trivial-extension dual forms whose algebras have h-vector
+relevant ideals, with their Hilbert functions, read off the web's inverse
+system prolonged one degree at a time in divided powers; a
+conjugation-invariant classifier that reads its invariants off that
+Hilbert function and the quadrics' symmetric matrices; degree-two generic
+initial ideals under lex; inverse-system samplers; and the
+trivial-extension dual forms whose algebras have h-vector
 (1, d+2, ..., d+2, 1) and fail the weak Lefschetz property.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 import random
 from enum import Enum
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
 from operator import add, mul
 
 from .duality import DualForm, hilbert_function
@@ -214,13 +215,56 @@ def _ideal_rows(quadrics: list[Poly], degree: int, weighted: bool = False):
 
 
 def quadric_ideal_hf(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
-    """Hilbert function of the quotient by the web ideal, degrees 0..up_to."""
+    """Hilbert function of the quotient by the web ideal, degrees 0..up_to.
+
+    Entry k is h_k = dim V_k, where V_k = (I_k)^perp is the web's inverse
+    system in the divided powers D_k, in which x_i o X^[a] = X^[a - e_i] and
+    the pairing of x^w with X^[a] is 1 exactly when w = a.  V_2 is the kernel
+    of the coefficient matrix.  For k >= 3, I_k = sum_j x_j I_{k-1}, since
+    I is generated in degree 2, and <x_j phi, F> = <phi, x_j o F>; so V_k is
+    the set of F with x_j o F in V_{k-1} for every j (Iarrobino and Kanev,
+    "Power Sums, Gorenstein Algebras, and Determinantal Loci", LNM 1721,
+    1999, Appendix A).  A tuple (G_0, .., G_3) in D_{k-1} is the gradient of
+    exactly one F in D_k when x_i o G_j = x_j o G_i for all i < j, in every
+    characteristic.  With G_j = sum_a c_{j,a} v_a on a basis of V_{k-1} and
+    T_i the matrix of x_i o from V_{k-1} to V_{k-2} in coordinates, V_k is
+    the kernel of the rows T_i c_j - T_j c_i: a (6 h_{k-2}) x (4 h_{k-1})
+    matrix, so h_k = 4 h_{k-1} - its rank.  Block i of a kernel vector is
+    x_i o F, so the blocks give the next T_i without building a form; the
+    first T_i are lookups in V_2's basis, since V_1 = D_1.  The last degree
+    needs only the rank, and once some h_k is 0 every later entry is 0.
+    """
     if up_to < 2:
         raise ValueError("need up_to >= 2")
-    out = [1, 4]
-    for i in range(2, up_to + 1):
-        rows = _ideal_rows(web.quadrics, i)[1]
-        out.append(comb(i + 3, 3) - ExactMatrix(rows, web.field).rank())
+    field = web.field
+    zero, neg = field.zero, field.neg
+    basis = web.coefficient_matrix().kernel_basis()
+    out = [1, 4, len(basis)]
+    col = {m: c for c, m in enumerate(monomials_of_degree(4, 2))}
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    # t[i][l][m]: coordinate l of x_i o v_m, for the basis vectors v_m of V_{k-1}
+    t = [[[v[col[tuple(map(add, unit[i], unit[l]))]] for v in basis] for l in range(4)]
+         for i in range(4)]
+    for k in range(3, up_to + 1):
+        h = out[-1]
+        if not h:
+            out += [0] * (up_to + 1 - k)
+            break
+        minus = [[list(map(neg, row)) for row in ti] for ti in t]
+        rows = []
+        for i, j in combinations(range(4), 2):
+            for ti, tj in zip(t[i], minus[j]):
+                row = [zero] * (4 * h)
+                row[j * h:(j + 1) * h] = ti
+                row[i * h:(i + 1) * h] = tj
+                rows.append(row)
+        m = ExactMatrix(rows, field)
+        if k == up_to:
+            out.append(4 * h - m.rank())
+            break
+        kernel = m.kernel_basis()
+        out.append(len(kernel))
+        t = [[[u[i * h + a] for u in kernel] for a in range(h)] for i in range(4)]
     return tuple(out)
 
 
@@ -443,7 +487,8 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
     """Orbit label of a quadric web together with the invariant evidence.
 
     Decision tree over computable invariants: the Hilbert function of the web
-    ideal up to degree 5; the common kernel of the four symmetric matrices
+    ideal up to degree 5, from its inverse system prolonged degree by degree
+    (see `quadric_ideal_hf`); the common kernel of the four symmetric matrices
     S of the quadrics x^T S x, built once; the squarefree signature of the
     determinant along pencils (of the web itself when the kernel is zero,
     of the dual pencil when it is a line); and the rank-one locus of the

@@ -17,7 +17,9 @@ dehomogenized after a random coordinate change has moved its roots off
 infinity, then split by Yun's squarefree decomposition (not the library's
 chain of gcds with derivatives), and the dual pencil of a quadric web with
 a common kernel by substituting coordinates into its quadrics (not by
-deleting a row and column of their symmetric matrices), and polynomial
+deleting a row and column of their symmetric matrices), the Hilbert
+function of a web ideal from the rank of its whole matrix of q * x^w in
+each degree (not by prolonging its inverse system), and polynomial
 text read one character per method call (not one regular-expression match
 per term).
 """
@@ -418,6 +420,20 @@ def dual_pencil_by_substitution(web: QuadricWeb, k):
         return None
     return _symmetric_matrices(
         [Poly(3, field, {w: c for w, c in zip(mons, v) if c}) for v in kernel], 3)
+
+
+def quadric_ideal_hf_by_ranks(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
+    """Hilbert function of a web ideal from the rank of its ideal matrix in each degree.
+
+    Degree i has comb(i + 3, 3) monomials less the rank of the rows q * x^w,
+    over every web quadric q and monomial x^w of degree i - 2: the whole
+    ideal in that degree, not the inverse system prolonged from the last.
+    """
+    out = [1, 4]
+    for i in range(2, up_to + 1):
+        rows = _ideal_rows(web.quadrics, i)[1]
+        out.append(comb(i + 3, 3) - ExactMatrix(rows, web.field).rank())
+    return tuple(out)
 
 
 # -- lex-segment oracles for the growth bounds --------------------------------

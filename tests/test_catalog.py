@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, reject, settings, strategies as st
 
 from apolar import (
     CATALOG_LABELS,
     EXPECTED_WEB_HF,
     GENERIC_GIN2,
     GF,
+    HF_FAST,
     QQ,
     SPECIAL_GIN2,
     DualForm,
@@ -33,6 +35,7 @@ from apolar import (
     random_linear_change,
     wlp_check,
 )
+from apolar import catalog
 from apolar.catalog import (
     _binary_signature,
     _common_kernel,
@@ -48,6 +51,7 @@ from oracles import (
     dual_pencil_by_substitution,
     pencil_form,
     poly_det,
+    quadric_ideal_hf_by_ranks,
     random_form,
     rank_one_locus_by_random_chart,
 )
@@ -172,6 +176,85 @@ class TestQuadricIdealHF:
             web = orbit_representative(label, FP)
             g = random_linear_change(4, FP, rng)
             assert quadric_ideal_hf(web.transformed(g), 5) == EXPECTED_WEB_HF[label]
+
+    def test_complete_intersection_has_zero_tail(self):
+        web = QuadricWeb([parse_poly(f"x{i}^2", 4, QQ) for i in range(1, 5)])
+        assert quadric_ideal_hf(web, 6) == (1, 4, 6, 4, 1, 0, 0)
+
+    @staticmethod
+    def _shapes(monkeypatch, web, up_to):
+        """The Hilbert function and the shapes of the matrices it was read off."""
+        shapes = []
+
+        class Recording(ExactMatrix):
+            def __init__(self, entries, field):
+                super().__init__(entries, field)
+                shapes.append((self.rows, self.cols))
+
+        monkeypatch.setattr(catalog, "ExactMatrix", Recording)
+        return quadric_ideal_hf(web, up_to), shapes
+
+    def test_degree_two_runs_no_prolongation(self, monkeypatch):
+        web = orbit_representative(OrbitLabel.I)
+        assert self._shapes(monkeypatch, web, 2) == ((1, 4, 6), [(4, 10)])
+
+    def test_prolongation_matrices_are_six_by_four_blocks(self, monkeypatch):
+        hf, shapes = self._shapes(monkeypatch, orbit_representative(OrbitLabel.IX, FP), 5)
+        assert hf == HF_FAST
+        assert shapes == [(4, 10)] + [(6 * hf[k - 2], 4 * hf[k - 1]) for k in (3, 4, 5)]
+        assert shapes[-1] == (48, 40)
+
+    def test_degree_below_two_rejected(self):
+        with pytest.raises(ValueError, match="up_to >= 2"):
+            quadric_ideal_hf(orbit_representative(OrbitLabel.I), 1)
+
+
+#: Fields of the prolongation property: QQ with fractional coefficients,
+#: a characteristic just above the classifier's bound, and two larger primes.
+HF_FIELDS = [QQ, GF(7), GF(101), FP]
+
+
+@st.composite
+def quadric_webs(draw):
+    """A web over one of HF_FIELDS: a conjugate of a representative, or sparse and random.
+
+    Sparse webs reach Hilbert functions outside the catalog.  In half of
+    them quadric i holds the square x_i^2, which makes most of those
+    complete intersections, whose Hilbert functions end in zeros.
+    """
+    field = draw(st.sampled_from(HF_FIELDS))
+    if field is QQ:
+        entry = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    else:
+        entry = st.integers(1, field.p - 1)
+    if draw(st.booleans()):
+        matrix = draw(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=4, max_size=4))
+        try:
+            change = LinearChange(matrix, field)
+        except ValueError:
+            reject()
+        return orbit_representative(draw(st.sampled_from(CATALOG_LABELS)), field).transformed(change)
+    mons = monomials_of_degree(4, 2)
+    squares = draw(st.booleans())
+    quadrics = []
+    for i in range(4):
+        support = set(draw(st.lists(st.sampled_from(mons), min_size=1 - squares, max_size=3)))
+        if squares:
+            support.add(tuple(2 * (j == i) for j in range(4)))
+        quadrics.append(Poly(4, field, {m: draw(entry) for m in sorted(support)}))
+    try:
+        return QuadricWeb(quadrics)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadric_webs(), st.integers(2, 7))
+@example(QuadricWeb([parse_poly(f"x{i}^2", 4, QQ) for i in range(1, 5)]), 7)
+def test_prolonged_hf_matches_ranks_of_ideal_matrices(web, up_to):
+    hf = quadric_ideal_hf(web, up_to)
+    event("zero tail" if hf[-1] == 0 else "nonzero tail")
+    assert hf == quadric_ideal_hf_by_ranks(web, up_to)
 
 
 class TestGin2:
