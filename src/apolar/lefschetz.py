@@ -5,7 +5,10 @@ rank of multiplication by g from [A]_i to [A]_{i + deg g} is h_{g o F}(i),
 the rank of the i-th catalecticant of g applied to F, because that
 contraction presents the image algebra A/(0 : g).  The weak and strong
 Lefschetz checks and the snake ledger all read their ranks off it; one
-seeded trial loop serves both Lefschetz checks.  Powers of a linear form
+seeded trial loop serves both Lefschetz checks.  The ledger's one other
+rank, on C = A/(g), is pinned by these h-vectors in every degree where
+ell or g maps onto [A]_{i+1} or annihilates F, and is eliminated only
+elsewhere.  Powers of a linear form
 are never expanded: ell^k o F = ell o (ell^{k-1} o F), so the forms
 ell^k o F for k = 1..d are a chain of d contractions by ell.  Genericity
 of ell is handled Monte-Carlo style over a big prime field: one successful
@@ -23,6 +26,7 @@ from enum import Enum
 from .duality import (
     DualForm,
     HVector,
+    _require_linear,
     catalecticant,
     contract,
     hilbert_function,
@@ -144,11 +148,6 @@ def _power_chain(F: DualForm, ell: Poly, top: int) -> list[DualForm | None]:
         G = chain[-1]
         chain.append(None if G is None else contract(ell, G))
     return chain
-
-
-def _require_linear(ell: Poly) -> None:
-    if ell.is_zero() or not ell.is_homogeneous() or ell.degree() != 1:
-        raise ValueError("expected a nonzero linear form")
 
 
 def _require_prime_field(F: DualForm, what: str) -> None:
@@ -395,6 +394,14 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
     For each degree i the ledger records dimensions and the rank of the three
     multiplication maps, and checks the snake-lemma implication: flanking
     maps both injective (resp. surjective) force the middle one to be so.
+
+    The ranks on A and B are Hilbert functions of ell o F and of ell o B.
+    The rank on C is the joint rank r of the pairing rows of ell * x^u and
+    g * x^w in degree i + 1, less h_B(i + 1 - s).  Both blocks of rows have
+    known ranks and lie in the row space of catalecticant(F, i + 1), so
+    max(rank_a(i), h_B(i + 1 - s)) <= r <= min(h_A(i + 1), rank_a(i) +
+    h_B(i + 1 - s)); r is eliminated only in the degrees where these
+    bounds differ.
     """
     _require_linear(ell)
     if g.is_zero():
@@ -426,14 +433,18 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
         c_dims = (a_dims[0] - b_dims[0], a_dims[1] - b_dims[1])
         # right map: the image of x ell in [A/(g)]_{i+1} is the span of the
         # pairing rows of ell * x^u and g * x^w, minus the span of g * x^w.
-        # Those rows are the rows of the catalecticants of ell o F at i and
-        # of g o F at i + 1 - s, and the second block has rank h_B(i + 1 - s).
-        rows = []
-        if i < d and L is not None:
-            rows += catalecticant(L, i).entries
-        if i < d and B is not None and i + 1 >= s:
-            rows += catalecticant(B, i + 1 - s).entries
-        rank_c = ExactMatrix(rows, F.field).rank() - b_dims[1] if rows else 0
+        # Those rows are the rows of the catalecticants of ell o F at i (rank
+        # rank_a(i)) and of g o F at i + 1 - s (rank h_B(i + 1 - s)), and
+        # each is a combination of rows of catalecticant(F, i + 1), of rank
+        # h_A(i + 1).  So their joint rank lies in [lo, hi]; the bounds meet
+        # when x ell or x g maps onto [A]_{i+1}, when ell o F or g o F
+        # vanishes, and at i = d, and only otherwise are both blocks built.
+        lo = max(ranks_a[i], b_dims[1])
+        hi = min(a_dims[1], ranks_a[i] + b_dims[1])
+        if lo < hi:
+            rows = catalecticant(L, i).entries + catalecticant(B, i + 1 - s).entries
+            lo = ExactMatrix(rows, F.field).rank()
+        rank_c = lo - b_dims[1]
         records.append(
             SnakeRecord(
                 i=i,

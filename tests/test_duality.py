@@ -409,6 +409,43 @@ class TestQuotientBasis:
                 assert ExactMatrix(cat.entries[:k], FP).rank() == kept
 
 
+@pytest.mark.parametrize("text, n, field", [
+    ("X1*X2", 2, QQ),                                  # h = (1, 2, 1): full in degree 1
+    ("X1^2*X2", 2, QQ),                                # (1, 2, 2, 1): Ann(F)_2 = <x2^2>
+    ("X1^4 + X2^4 + X3^4 + X1*X2*X3^2 + 1/2*X1^2*X2^2", 3, QQ),
+    ("X1^3 + X1*X2^2 + 5*X2*X3^2", 3, GF(7)),
+    ("X1*X4^2 + X2*X4*X5 + X3*X5^2", 5, FP),           # (1, 5, 5, 1): full only in degree 0
+])
+def test_ann_and_quotient_bases_ignore_a_warm_record(monkeypatch, text, n, field):
+    # a form whose record holds h answers the degrees with h_i = dim R_i
+    # without a catalecticant; a cold form builds exactly one per call and
+    # leaves h unranked, and both give the same bases
+    poly = parse_poly(text, n, field)
+    built = []
+
+    def counting(form, i):
+        built.append(i)
+        return catalecticant(form, i)
+
+    monkeypatch.setattr(duality, "catalecticant", counting)
+    cold = DualForm(poly)
+    d = cold.degree
+    cold_ann = [ann_degree(cold, i) for i in range(d + 2)]
+    cold_basis = [quotient_basis(cold, i) for i in range(d + 1)]
+    assert built == [d - i for i in range(d + 1)] * 2
+    assert cold._record.h is None
+    warm = DualForm(poly)
+    h = hilbert_function(warm)
+    full = [i for i in range(d + 1) if h[i] == comb(n - 1 + i, i)]
+    assert 0 < len(full) < d + 1
+    built.clear()
+    assert [ann_degree(warm, i) for i in range(d + 2)] == cold_ann
+    assert [quotient_basis(warm, i) for i in range(d + 1)] == cold_basis
+    assert sorted(built) == sorted([d - i for i in range(d + 1) if i not in full] * 2)
+    for i in full:
+        assert cold_ann[i] == [] and cold_basis[i] == monomials_of_degree(n, i)
+
+
 class TestContract:
     def test_linear_contraction(self):
         F = DF("X1*X2^2", 2)

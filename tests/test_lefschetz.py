@@ -34,7 +34,7 @@ from apolar import (
 )
 from apolar.lefschetz import _power_chain
 from apolar.poly import Poly
-from oracles import mult_rank_by_pairing, random_form, snake_ranks_naive
+from oracles import mult_rank_by_pairing, random_form, snake_rank_c_stacked, snake_ranks_naive
 
 FP = GF()
 
@@ -566,11 +566,58 @@ def snake_inputs(draw):
 @example((DF("X1^3 + 1/2*X1*X2^2", 2), parse_poly("3/4", 2), parse_poly("x1 - 2/3*x2", 2)))
 @example((DF("X1^4 + X1*X2^3 + X2^2*X3^2", 3, FP), parse_poly("x1^4 + x3^4", 3, FP),
           parse_poly("x1 + x2 + x3", 3, FP)))
+# rank_c pinned by x ell onto [A]_{i+1}: the upper half of a generic quartic
+@example((DF("X1^4 + X2^4 + X3^4 + X1*X2*X3^2 + 1/2*X1^2*X2^2", 3), parse_poly("x1 + 2*x3", 3),
+          parse_poly("x1 - x2 + 1/3*x3", 3)))
+# pinned by ell o F = 0, and by g o F = 0
+@example((DF("X1^3 + 1/2*X1*X2^2", 3), parse_poly("x1 + x2 + x3", 3), parse_poly("x3", 3)))
+@example((DF("X1^3 + 1/2*X1*X2^2", 3), parse_poly("x3*x2", 3), parse_poly("x1 + x2 - x3", 3)))
+# not pinned: the lower half of a generic quintic, where both blocks are ranked
+@example((DF("X1^5 + X2^5 + X3^5 + 1/2*X1^2*X2^2*X3 + 2/3*X1*X3^4 - X1^3*X2*X3", 3),
+          parse_poly("x1 - x3", 3), parse_poly("x2 + 3*x3", 3)))
 def test_snake_ledger_agrees_with_naive_ranks(case):
     F, g, ell = case
     ledger = snake_consistency(F, g, ell)
     got = [(r.rank_b, r.rank_a, r.rank_c) for r in ledger.records]
     assert got == snake_ranks_naive(F, g, ell)
+
+
+@st.composite
+def ledger_inputs(draw):
+    """A generic or sparse F with n <= 5, d <= 7, a g of degree 1..3 and a linear ell.
+
+    Over QQ with fractions of denominator 2..6, GF(7) (so d <= 6) or the
+    default prime.  Generic forms carry every monomial, so the ledger pins its upper
+    half and ranks its lower half; sparse forms and sparse ell and g reach
+    the vanishing contractions.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 6 if field == GF(7) else 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def coeff():
+        if field == QQ:
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 6))
+        return rng.randrange(1, field.p)
+
+    def poly(degree, terms):
+        mons = monomials_of_degree(n, degree)
+        return Poly(n, field, {m: coeff() for m in rng.sample(mons, min(terms, len(mons)))})
+
+    generic = draw(st.booleans())
+    F = DualForm(poly(d, 10**4 if generic else draw(st.integers(1, 6))))
+    g = poly(draw(st.integers(1, min(3, d))), draw(st.integers(1, 4)))
+    ell = poly(1, draw(st.integers(1, n)))
+    return F, g, ell
+
+
+@settings(max_examples=100, deadline=None)
+@given(ledger_inputs())
+def test_snake_ledger_rank_c_equals_stacked_elimination(case):
+    F, g, ell = case
+    ledger = snake_consistency(F, g, ell)
+    assert [r.rank_c for r in ledger.records] == snake_rank_c_stacked(F, g, ell)
 
 
 @settings(max_examples=150, deadline=None)
