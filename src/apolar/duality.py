@@ -252,7 +252,9 @@ def ann_degree(F: DualForm, i: int) -> list[Poly]:
     Kernel of the differentiation map R_i -> S_{d-i}, the left kernel of the
     i-th catalecticant, i.e. the right kernel of the (d-i)-th; all of R_i
     when i > d.  dim Ann(F)_i = dim R_i - h_i, so when F's record already
-    holds h and h_i = dim R_i the piece is empty and nothing is eliminated.
+    holds h and h_i = dim R_i the piece is empty and nothing is eliminated;
+    h is only read, never ranked here, since that would cost more than the
+    one elimination it could save.
     """
     if i < 0:
         raise ValueError("degree must be non-negative")
@@ -260,7 +262,8 @@ def ann_degree(F: DualForm, i: int) -> list[Poly]:
     mons = monomials_of_degree(F.n, i)
     if i > F.degree:
         return [Poly.monomial(F.n, field, e) for e in mons]
-    if _known_free(F, i):
+    h = F._record.h if F._record is not None else None
+    if h is not None and h[i] == len(mons):
         return []
     return [Poly(F.n, field, {e: c for e, c in zip(mons, v) if not field.is_zero(c)})
             for v in catalecticant(F, F.degree - i).kernel_basis()]
@@ -272,27 +275,13 @@ def quotient_basis(F: DualForm, i: int) -> list[tuple[int, ...]]:
     Greedy in descending graded-lex order: a monomial is kept exactly when
     its catalecticant row is independent of the rows before it, so the
     result is the row rank profile, the pivot columns of the transpose,
-    which is the (d-i)-th catalecticant.  When F's record already holds h
-    and h_i = dim R_i every column is a pivot, so the result is every
-    monomial of degree i and nothing is eliminated.
+    which is the (d-i)-th catalecticant.
     """
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"degree {i} outside 0..{d}")
     mons = monomials_of_degree(F.n, i)
-    if _known_free(F, i):
-        return mons
     return [mons[j] for j in catalecticant(F, d - i).pivot_columns()]
-
-
-def _known_free(F: DualForm, i: int) -> bool:
-    """Whether F's record already holds h with h_i = dim R_i, i.e. Ann(F)_i = 0.
-
-    Only reads the record: ranking h here would cost more than the one
-    elimination it could save.
-    """
-    h = F._record.h if F._record is not None else None
-    return h is not None and h[i] == comb(F.n - 1 + i, i)
 
 
 def contract(g: Poly, F: DualForm) -> DualForm | None:

@@ -6,9 +6,7 @@ via differentiation built out of polynomial arithmetic (not the
 coefficient-times-factorial closed form of the catalecticant, nor the
 index shift of the divided-power basis),
 multiplication ranks via the perfect pairing on quotient bases, snake
-ledger ranks from those and from spans of naive pairing rows, the
-ledger's rank on C = A/(g) by eliminating the stacked catalecticants in
-every degree (not by pinning it between rank bounds),
+ledger ranks from those and from spans of naive pairing rows,
 coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
 expansions via exhaustive search, and pivot columns and determinants of
@@ -43,7 +41,6 @@ from apolar import (
     Poly,
     QuadricWeb,
     ann_degree,
-    catalecticant,
     diff_action,
     monomials_of_degree,
     quotient_basis,
@@ -153,30 +150,6 @@ def snake_ranks_naive(F: DualForm, g: Poly, ell: Poly) -> list[tuple[int, int, i
             g_ops = times(g, i + 1 - s) if i + 1 >= s else []
             rank_c = span(times(ell, i) + g_ops, i + 1) - span(g_ops, i + 1)
         out.append((rank_b, rank_a, rank_c))
-    return out
-
-
-def snake_rank_c_stacked(F: DualForm, g: Poly, ell: Poly) -> list[int]:
-    """rank_c of the snake ledger for degrees i = 0..d, eliminated in every degree.
-
-    Degree i stacks the catalecticants of ell o F at i and of g o F at
-    i + 1 - s, the pairing rows of ell * x^u and g * x^w in degree i + 1,
-    ranks the stack and subtracts the rank of the second block: no rank is
-    read off a bound, and both contractions are taken by differentiation.
-    """
-    d, s = F.degree, g.degree()
-    L = contract_by_differentiation(ell, F) if d else None
-    B = contract_by_differentiation(g, F)
-    out = []
-    for i in range(d + 1):
-        rows, block_rank = [], 0
-        if i < d and L is not None:
-            rows += catalecticant(L, i).entries
-        if i < d and B is not None and i + 1 >= s:
-            block = catalecticant(B, i + 1 - s)
-            rows += block.entries
-            block_rank = block.rank()
-        out.append(ExactMatrix(rows, F.field).rank() - block_rank if rows else 0)
     return out
 
 
