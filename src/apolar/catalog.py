@@ -9,6 +9,9 @@ Hilbert function and the quadrics' symmetric matrices; degree-two generic
 initial ideals under lex; inverse-system samplers; and the
 trivial-extension dual forms whose algebras have h-vector
 (1, d+2, ..., d+2, 1) and fail the weak Lefschetz property.
+
+The classifier samples nothing: every invariant it reads is a rank, a kernel
+or a determinant.  `gin2` and the inverse-system samplers draw from a seed.
 """
 
 from __future__ import annotations
@@ -370,6 +373,47 @@ def _pencil_det(m1, m2, p: int) -> list[int]:
     return total
 
 
+# Tables of `_quartic_det`: column pairs with their complements and signs, the
+# monomials t_k t_l (k <= l) of a 2x2 minor, and the quartic index of each product.
+_LAPLACE = [((a, b), tuple(c for c in range(4) if c not in (a, b)), (-1) ** (1 + a + b))
+            for a, b in combinations(range(4), 2)]
+_QUADRATIC = list(combinations_with_replacement(range(4), 2))
+_QUARTIC = monomials_of_degree(4, 4)
+_PRODUCT = [[_QUARTIC.index(tuple((k, l, m, n).count(x) for x in range(4)))
+             for m, n in _QUADRATIC] for k, l in _QUADRATIC]
+
+
+def _quartic_det(mats, p: int) -> dict:
+    """The quartic det(sum_k t_k M_k) of four 4x4 matrices over F_p, by exponent.
+
+    The sum over column pairs a < b of (-1)^(1+a+b) times the minor on rows
+    0, 1 and columns a, b times the complementary minor on rows 2, 3.  Each
+    minor is a quadratic in t with plain-int coefficients; the products are
+    summed through `_PRODUCT` and reduced mod p once at the end.
+    """
+
+    def minor(r, s, a, b):
+        x, y = [m[r][a] for m in mats], [m[s][b] for m in mats]
+        z, w = [m[r][b] for m in mats], [m[s][a] for m in mats]
+        return [x[k] * y[l] - z[k] * w[l] + (x[l] * y[k] - z[l] * w[k] if k != l else 0)
+                for k, l in _QUADRATIC]
+
+    total = [0] * len(_QUARTIC)
+    for (a, b), (c, d), sign in _LAPLACE:
+        lower = minor(2, 3, c, d)
+        for u, row in zip(minor(0, 1, a, b), _PRODUCT):
+            if u:
+                u *= sign
+                for v, i in zip(lower, row):
+                    total[i] += u * v
+    return {e: c % p for e, c in zip(_QUARTIC, total) if c % p}
+
+
+def _gin_quartic(mats, p: int) -> dict:
+    """P(v) = det[S_1 v | .. | S_4 v] = det(sum_j v_j A_j), A_j[i][k] = S_k[i][j]."""
+    return _quartic_det([[[s[i][j] for s in mats] for i in range(4)] for j in range(4)], p)
+
+
 # univariate helpers over F_p; coefficient lists are low-degree first
 
 def _utrim(c):
@@ -463,47 +507,46 @@ def _rank_one_locus_degree(pencil, p: int) -> int:
     return _root_counts(common, p)[0] + int(at_infinity)
 
 
-def _quartic_signature(mats, field, rng: random.Random) -> tuple[int, ...] | None:
-    """Squarefree signature of the determinant along a random member pencil."""
-    p = field.p
-    for _ in range(8):
-        ms = []
-        for _ in range(2):
-            coeffs = [field.rand(rng) for _ in range(4)]
-            member = [[sum(c * s[i][j] for c, s in zip(coeffs, mats)) % p for j in range(4)]
-                      for i in range(4)]
-            if not any(map(any, member)):
-                break
-            ms.append(member)
-        if len(ms) < 2:
-            continue
-        sig = _binary_signature(_pencil_det(ms[0], ms[1], p), p)
-        if sig is not None:
-            return sig
-    return None
+#: Kernel-free catalog webs by the h-vector of D(t) = det(sum_k t_k S_k): their
+#: web-ideal Hilbert function, label, and D's signature along a generic pencil.
+_PENCIL_BRANCH = {
+    (1, 4, 10, 4, 1): (HF_FAST, OrbitLabel.I, (0, 2, 0, 0)),
+    (1, 1, 1, 1, 1): (HF_FAST, OrbitLabel.IX, (0, 0, 0, 1)),
+    (1, 4, 5, 4, 1): (HF_FLAT, OrbitLabel.VIII_X3X4, (2, 1, 0, 0)),
+    (1, 2, 2, 2, 1): (HF_FLAT, OrbitLabel.VIII_X3SQ_X2X4, (1, 0, 1, 0)),
+}
 
 
-def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
+def classify_web_report(web: QuadricWeb, seed=None) -> tuple[OrbitLabel, dict]:
     """Orbit label of a quadric web together with the invariant evidence.
 
     Decision tree over computable invariants: the Hilbert function of the web
     ideal up to degree 5, from its inverse system prolonged degree by degree
     (see `quadric_ideal_hf`); the common kernel of the four symmetric matrices
-    S of the quadrics x^T S x, built once; the squarefree signature of the
-    determinant along pencils (of the web itself when the kernel is zero,
-    of the dual pencil when it is a line); and the rank-one locus of the
-    dual pencil.  The dual pencil is read off the matrices with the kernel's
-    pivot row and column deleted (see `_dual_pencil`).  Webs outside the
-    catalog orbits may come back Unknown.
+    S_k of the quadrics x^T S_k x, built once; the squarefree signature of
+    the determinant along pencils (of the web itself when the kernel is
+    zero, of the dual pencil when it is a line); and the rank-one locus of
+    the dual pencil.  The dual pencil is read off the matrices with the
+    kernel's pivot row and column deleted (see `_dual_pencil`).  Webs outside
+    the catalog orbits may come back Unknown.
 
-    Two steps sample from the seed: the coordinate changes of the three
-    ``gin2`` trials, and the two random members spanning the web's pencil in
-    the kernel-free branch.  The rest is read deterministically: the
-    Hilbert function, the common kernel, and the squarefree signatures and
-    rank-one count of binary forms, which are read in the fixed chart
-    beta = 1 with the root beta = 0 counted apart.  Root multiplicities come
-    from derivatives, so the characteristic must exceed 4, the degree of the
-    web's pencil determinant; p <= 4 raises ValueError.
+    Nothing is sampled, so ``seed`` is ignored; it stays for callers that
+    pass one.  Two steps are quartic determinants (`_quartic_det`):
+
+    - gin2.  Under x -> M x the x_1 row of M^T S_k M is M^T S_k m_1, m_1 the
+      first column of M, so a generic M makes the four x_1 x_j the lex
+      pivots exactly when P(v) = det[S_1 v | .. | S_4 v] is not zero.  A gin
+      is Borel-fixed (Bayer and Stillman), p-Borel-fixed in characteristic
+      p (Pardue), and for p > 2 the only such sets in degree 2 are
+      `GENERIC_GIN2` and `SPECIAL_GIN2`: it is special exactly when P = 0.
+    - The kernel-free branch.  D(t) = det(sum_k t_k S_k) moves only by a
+      scalar and a linear substitution in t under a change of coordinates
+      or of basis, so the h-vector of D as a dual form is an orbit
+      invariant; `_PENCIL_BRANCH` maps it to a generic pencil's signature.
+
+    Binary forms are read in the fixed chart beta = 1 with the root beta = 0
+    counted apart.  Root multiplicities come from derivatives, and D is a
+    dual form of degree 4, so p <= 4 raises ValueError.
     """
     field = web.field
     if not isinstance(field, PrimeField):
@@ -512,21 +555,15 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
     if p <= 4:
         raise ValueError(f"classification needs characteristic p > 4, the degree of the "
                          f"pencil determinant whose root multiplicities it reads; got p = {p}")
-    master = random.Random(seed)
-    gin_seed = master.getrandbits(63)
-    rng = random.Random(master.getrandbits(63))
 
-    pivots = gin2(web, trials=3, seed=gin_seed)
-    if pivots == GENERIC_GIN2:
+    mats = _symmetric_matrices(web.quadrics, 4)
+    if _gin_quartic(mats, p):
         raise HypothesisViolationError(
             "degree-2 generic initial ideal is the generic set; "
             "the classifier needs the special set"
         )
-    if pivots != SPECIAL_GIN2:
-        raise InternalInconsistencyError(f"gin2 returned a non-Borel-fixed set {pivots}")
 
     hf = quadric_ideal_hf(web, 5)
-    mats = _symmetric_matrices(web.quadrics, 4)
     kernel = _common_kernel(mats, field)
     evidence: dict = {
         "gin2": "special",
@@ -545,17 +582,11 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
         return done(OrbitLabel.UNKNOWN)
 
     if not kernel:
-        sig = _quartic_signature(mats, field, rng)
+        terms = _quartic_det(mats, p)
+        h = tuple(hilbert_function(DualForm(Poly._trusted(4, field, terms)))) if terms else None
+        web_hf, label, sig = _PENCIL_BRANCH.get(h, (None, OrbitLabel.UNKNOWN, None))
         evidence["pencil_det_signature"] = list(sig) if sig else None
-        table = {
-            HF_FAST: {(0, 2, 0, 0): OrbitLabel.I, (0, 0, 0, 1): OrbitLabel.IX},
-            HF_SLOW: {},
-            HF_FLAT: {
-                (2, 1, 0, 0): OrbitLabel.VIII_X3X4,
-                (1, 0, 1, 0): OrbitLabel.VIII_X3SQ_X2X4,
-            },
-        }[hf]
-        return done(table.get(sig, OrbitLabel.UNKNOWN))
+        return done(label if web_hf == hf else OrbitLabel.UNKNOWN)
 
     pencil = _dual_pencil(mats, kernel[0], field)
     if pencil is None:
@@ -585,9 +616,9 @@ def classify_web_report(web: QuadricWeb, seed: int) -> tuple[OrbitLabel, dict]:
     return done(table.get(sig, OrbitLabel.UNKNOWN))
 
 
-def classify_web(web: QuadricWeb, seed: int) -> OrbitLabel:
+def classify_web(web: QuadricWeb, seed=None) -> OrbitLabel:
     """Conjugation-invariant orbit label of a quadric web; see classify_web_report."""
-    return classify_web_report(web, seed)[0]
+    return classify_web_report(web)[0]
 
 
 # -- inverse systems and sharp examples ---------------------------------------

@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="orbit label of a web of four quadrics")
     sp.add_argument("web", nargs="?", help="four comma-separated quadrics")
-    _add_flags(sp, "field", "seed", "input")
+    _add_flags(sp, "field", "input")
 
     sp = sub.add_parser("catalog", help="catalog orbit representative with verified data")
     sp.add_argument("label", nargs="?", help="orbit label; omit to list all")
@@ -166,7 +166,7 @@ def _need_seed(args) -> int:
 def _need_prime(field, command: str) -> PrimeField:
     if not isinstance(field, PrimeField):
         raise _InputError(
-            f"{command} needs generic sampling: use --field fp[:PRIME] rather than q"
+            f"{command} runs over a prime field: use --field fp[:PRIME] rather than q"
         )
     return field
 
@@ -314,10 +314,9 @@ def _cmd_bounds(args):
 
 def _cmd_classify(args):
     field = _need_prime(_get_field(args), "classify")
-    seed = _need_seed(args)
     web = _parse_web(args, field)
-    label, evidence = classify_web_report(web, seed)
-    result = {"label": label.value, "evidence": evidence, "seed": seed}
+    label, evidence = classify_web_report(web)
+    result = {"label": label.value, "evidence": evidence}
     text = [f"orbit label: {label.value}"]
     text.append(f"  web ideal hf (0..5): {tuple(evidence['web_hf'])}")
     text.append(f"  common kernel dimension: {evidence['common_kernel_dim']}")

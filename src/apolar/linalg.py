@@ -1,7 +1,7 @@
 """Dense exact matrices and the one row reduction per field that serves them.
 
-Rank, determinant, pivot columns, kernel and inverse are all read off a
-single row-reduction routine for each field family.  Both families first
+Rank, determinant, pivot columns and kernel are all read off a single
+row-reduction routine for each field family.  Both families first
 normalise the rows (mod p, or cleared of denominators) and pass them through
 one pre-pass, `_peel`, the first step of structured Gaussian elimination
 (LaMacchia and Odlyzko, "Solving large sparse linear systems over finite
@@ -64,12 +64,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            self.field,
-        )
-
     def rank(self) -> int:
         return len(_echelon(self.entries, self.field, False)[0])
 
@@ -107,23 +101,6 @@ class ExactMatrix:
     def pivot_columns(self) -> list[int]:
         """Column indices of the pivots of the row echelon form."""
         return _echelon(self.entries, self.field, False)[0]
-
-    def inverse_entries(self) -> list[list]:
-        """Entries of the inverse matrix: the right half of the reduced form of [M | I].
-
-        Every row of [M | I] has a nonzero in I, so a singleton row is a zero
-        row of M and nothing is peeled unless M is singular.
-        """
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        F = self.field
-        n = self.rows
-        augmented = [row + [F.one if j == i else F.zero for j in range(n)]
-                     for i, row in enumerate(self.entries)]
-        pivots, _, rows = _echelon(augmented, F, True)
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return [row[n:] for _, row in rows]
 
 
 def _echelon(entries, field, reduced: bool):

@@ -277,16 +277,6 @@ class LinearChange:
         if field.is_zero(ExactMatrix(self.matrix, field).det()):
             raise ValueError("change-of-coordinates matrix is singular")
 
-    @classmethod
-    def identity(cls, n: int, field) -> "LinearChange":
-        m = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-        return cls(m, field)
-
-    def inverse(self) -> "LinearChange":
-        from .linalg import ExactMatrix
-
-        return LinearChange(ExactMatrix(self.matrix, self.field).inverse_entries(), self.field)
-
     def apply(self, p: Poly) -> Poly:
         """Substitute each variable of ``p`` by its image linear form."""
         if p.n != self.n:

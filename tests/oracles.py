@@ -15,13 +15,14 @@ formula, the invariants of binary forms over F_p in a random chart:
 pencil determinants expanded as two-variable polynomials, and each form
 dehomogenized after a random coordinate change has moved its roots off
 infinity, then split by Yun's squarefree decomposition (not the library's
-chain of gcds with derivatives), and the dual pencil of a quadric web with
-a common kernel by substituting coordinates into its quadrics (not by
-deleting a row and column of their symmetric matrices), the Hilbert
-function of a web ideal from the rank of its whole matrix of q * x^w in
-each degree (not by prolonging its inverse system), and polynomial
-text read one character per method call (not one regular-expression match
-per term).
+chain of gcds with derivatives), the determinant along a random pencil of a
+quadric web (not the h-vector of its determinantal quartic), the dual
+pencil of a quadric web with a common kernel by substituting coordinates
+into its quadrics (not by deleting a row and column of their symmetric
+matrices), the Hilbert function of a web ideal from the rank of its whole
+matrix of q * x^w in each degree (not by prolonging its inverse system),
+and polynomial text read one character per method call (not one
+regular-expression match per term).
 """
 
 from __future__ import annotations
@@ -420,6 +421,32 @@ def dual_pencil_by_substitution(web: QuadricWeb, k):
         return None
     return _symmetric_matrices(
         [Poly(3, field, {w: c for w, c in zip(mons, v) if c}) for v in kernel], 3)
+
+
+def pencil_signature_by_random_pencil(web: QuadricWeb, rng: random.Random):
+    """Squarefree signature of the determinant along a random pencil of the web.
+
+    Two random members of the web's symmetric matrices span the pencil; its
+    determinant is expanded as a binary form by the Leibniz formula over
+    polynomials and split in a random chart (not read off the h-vector of
+    the determinantal quartic).  None when eight pencils all have a zero
+    member or a zero determinant.
+    """
+    field = web.field
+    mats = _symmetric_matrices(web.quadrics, 4)
+    for _ in range(8):
+        members = []
+        for _ in range(2):
+            coeffs = [field.rand(rng) for _ in range(4)]
+            members.append([[sum(c * s[i][j] for c, s in zip(coeffs, mats)) % field.p
+                             for j in range(4)] for i in range(4)])
+        if not all(any(map(any, m)) for m in members):
+            continue
+        det = poly_det(pencil_form(*members, field), 2, field)
+        sig = binary_signature_by_random_chart(det, rng)
+        if sig is not None:
+            return sig
+    return None
 
 
 def quadric_ideal_hf_by_ranks(web: QuadricWeb, up_to: int) -> tuple[int, ...]:

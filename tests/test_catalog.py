@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import event, example, given, reject, settings, strategies as st
@@ -40,7 +41,9 @@ from apolar.catalog import (
     _binary_signature,
     _common_kernel,
     _dual_pencil,
+    _gin_quartic,
     _pencil_det,
+    _quartic_det,
     _rank_one_locus_degree,
     _symmetric_matrices,
 )
@@ -50,6 +53,7 @@ from oracles import (
     binary_signature_by_random_chart,
     dual_pencil_by_substitution,
     pencil_form,
+    pencil_signature_by_random_pencil,
     poly_det,
     quadric_ideal_hf_by_ranks,
     random_form,
@@ -154,9 +158,9 @@ class TestTransformed:
     def test_mismatched_change_rejected(self):
         web = orbit_representative(OrbitLabel.I, FP)
         with pytest.raises(ValueError):
-            web.transformed(LinearChange.identity(4, QQ))
+            web.transformed(LinearChange([[int(i == j) for j in range(4)] for i in range(4)], QQ))
         with pytest.raises(ValueError):
-            web.transformed(LinearChange.identity(3, FP))
+            web.transformed(LinearChange([[int(i == j) for j in range(3)] for i in range(3)], FP))
 
 
 class TestQuadricIdealHF:
@@ -215,14 +219,14 @@ HF_FIELDS = [QQ, GF(7), GF(101), FP]
 
 
 @st.composite
-def quadric_webs(draw):
-    """A web over one of HF_FIELDS: a conjugate of a representative, or sparse and random.
+def quadric_webs(draw, fields=HF_FIELDS):
+    """A web over one of `fields`: a conjugate of a representative, or sparse and random.
 
     Sparse webs reach Hilbert functions outside the catalog.  In half of
     them quadric i holds the square x_i^2, which makes most of those
     complete intersections, whose Hilbert functions end in zeros.
     """
-    field = draw(st.sampled_from(HF_FIELDS))
+    field = draw(st.sampled_from(fields))
     if field is QQ:
         entry = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
     else:
@@ -347,13 +351,14 @@ class TestClassifier:
         with pytest.raises(ValueError, match="p > 4"):
             classify_web_report(web, seed=1)
 
-    @pytest.mark.parametrize("p", [101, 10007])
+    @pytest.mark.parametrize("p", [5, 7, 13, 101, 10007])
     def test_conjugates_round_trip_small_primes(self, p):
+        # p = 5, 7 and 13 are where sampled invariants would miss most often
         field = GF(p)
         rng = random.Random(p)
         for label in CATALOG_LABELS:
             web = orbit_representative(label, field)
-            for _ in range(3):
+            for _ in range(30 if p < 100 else 3):
                 conjugate = web.transformed(random_linear_change(4, field, rng))
                 assert classify_web(conjugate, seed=rng.getrandbits(32)) is label
 
@@ -463,6 +468,61 @@ def test_pencil_det_matches_evaluated_det(field, size, data):
     value = sum(c * pow(alpha, size - j, p) * pow(beta, j, p) for j, c in enumerate(coeffs)) % p
     at_point = [[(alpha * a + beta * b) % p for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
     assert value == ExactMatrix(at_point, field).det()
+
+
+QUARTIC_FIELDS = [GF(7), GF(101), FP]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QUARTIC_FIELDS), st.booleans(), st.data())
+def test_quartic_det_matches_evaluated_det(field, sparse, data):
+    p = field.p
+    entry = st.integers(0, p - 1)
+    if sparse:
+        entry = st.one_of(st.just(0), entry)
+    matrix = st.lists(st.lists(entry, min_size=4, max_size=4), min_size=4, max_size=4)
+    mats = data.draw(st.lists(matrix, min_size=4, max_size=4))
+    terms = _quartic_det(mats, p)
+    assert all(sum(e) == 4 and 0 < c < p for e, c in terms.items())
+    for _ in range(3):
+        t = data.draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=4))
+        value = sum(c * prod(map(pow, t, e, [p] * 4)) for e, c in terms.items()) % p
+        at_point = [[sum(x * m[i][j] for x, m in zip(t, mats)) % p for j in range(4)]
+                    for i in range(4)]
+        assert value == ExactMatrix(at_point, field).det()
+
+
+#: The orbits whose member matrices share no kernel.
+PENCIL_BRANCH_LABELS = [OrbitLabel.I, OrbitLabel.IX, OrbitLabel.VIII_X3X4,
+                        OrbitLabel.VIII_X3SQ_X2X4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PENCIL_BRANCH_LABELS), st.integers(0, 2**32 - 1))
+def test_pencil_signature_matches_random_pencil(label, seed):
+    rng = random.Random(seed)
+    web = orbit_representative(label, FP).transformed(random_linear_change(4, FP, rng))
+    got, evidence = classify_web_report(web)
+    assert got is label
+    assert evidence["pencil_det_signature"] == list(pencil_signature_by_random_pencil(web, rng))
+
+
+@st.composite
+def generic_gin_webs(draw):
+    """A conjugate of the quadric web of `generic_gin_dual_form`, whose gin2 is generic."""
+    F = generic_gin_dual_form(draw(st.sampled_from([5, 7])), draw(st.integers(0, 2**16)))
+    change = random_linear_change(4, FP, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return QuadricWeb(ann_degree(F, 2)).transformed(change)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(quadric_webs([FP]), generic_gin_webs()), st.integers(0, 2**32 - 1))
+def test_gin_quartic_vanishes_exactly_for_the_special_set(web, seed):
+    pivots = gin2(web, trials=8, seed=seed)
+    assert pivots in (GENERIC_GIN2, SPECIAL_GIN2)
+    special = not _gin_quartic(_symmetric_matrices(web.quadrics, 4), FP.p)
+    event("special" if special else "generic")
+    assert special == (pivots == SPECIAL_GIN2)
 
 
 #: The orbits whose member matrices share a one-dimensional kernel.

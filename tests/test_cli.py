@@ -15,7 +15,7 @@ CONFIG_KEYS = {
     "wlp": ["field", "seed", "trials", "n"],
     "slp": ["field", "seed", "trials", "n"],
     "bounds": [],
-    "classify": ["field", "seed"],
+    "classify": ["field"],
     "catalog": [],
     "family": ["field", "seed", "trials"],
     "gin2": ["field", "seed", "trials"],
@@ -81,7 +81,7 @@ GOLDEN_COMMANDS = [
     ("slp", PERAZZO3, "--seed", "42"),
     ("bounds", "macaulay", "13", "2"),
     ("bounds", "osequence", "1,13,12,13,1"),
-    ("classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--seed", "3"),
+    ("classify", "x1*x3, x1*x4, x2*x3, x2*x4"),
     ("catalog", "IX"),
     ("family", "VII", "5", "--seed", "11"),
     ("gin2", "x1^2, x1*x2, x2^2, x1*x3", "--seed", "5"),
@@ -114,7 +114,7 @@ GOLDEN_SNAPSHOTS = {
     "family_ix9.json": ("family", "IX", "9", "--seed", "5"),
     "perazzo6.json": ("perazzo", "6", "--seed", "5"),
     "snake.json": ("snake", PERAZZO3, "--seed", "13"),
-    "classify.json": ("classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--seed", "3"),
+    "classify.json": ("classify", "x1*x3, x1*x4, x2*x3, x2*x4"),
     "slp.json": ("slp", "X1*X5^3 + X2*X5^2*X6 + X3*X5*X6^2 + X4*X6^3", "--seed", "4"),
     "slp_holds.json": ("slp", "X1^5 + X2^5 + X3^5 + X1*X2*X3^3", "--seed", "7"),
 }
@@ -193,8 +193,7 @@ def test_bounds_values(capsys):
 
 
 def test_classify_reports_label(capsys):
-    report = run_json(capsys, "classify", "x1*x3, x1*x4, x2*x3, x2*x4",
-                      "--seed", "3", "--json")
+    report = run_json(capsys, "classify", "x1*x3, x1*x4, x2*x3, x2*x4", "--json")
     assert report["result"]["label"] == "I"
 
 
@@ -225,7 +224,7 @@ def test_report_schema_pins_config_keys():
     validate({**report, "command": "hf", "config": {"field": "q", "n": None}}, REPORT_SCHEMA)
     for command, config in (("bounds", {"field": "fp"}),
                             ("hf", {"field": "q", "n": None, "trials": 5}),
-                            ("classify", {"field": "fp"})):
+                            ("classify", {"field": "fp", "seed": 3})):
         with pytest.raises(ValidationError):
             validate({**report, "command": command, "config": config}, REPORT_SCHEMA)
 
@@ -239,7 +238,7 @@ UNDECLARED_FLAGS = [
     (("ann", "X1^2*X2", "2"), ["--seed", "--trials"]),
     (("bounds", "macaulay", "13", "2"), ["--field", "--seed", "--trials", "--n", "--input"]),
     (("catalog", "IX"), ["--field", "--seed", "--trials", "--n", "--input"]),
-    (("classify", WEB, "--seed", "3"), ["--trials", "--n"]),
+    (("classify", WEB), ["--trials", "--n", "--seed"]),
     (("gin2", WEB, "--seed", "5"), ["--n"]),
     (("family", "VII", "5", "--seed", "11"), ["--n", "--input"]),
     (("perazzo", "4", "--seed", "1"), ["--n", "--input"]),
@@ -283,8 +282,7 @@ def test_every_declared_flag_is_read_back(tmp_path, capsys):
          {"field": "fp:10007", "seed": 2, "trials": 2, "n": 6}),
         (["bounds", "green", "6", "3"], {}),
         (["catalog"], {}),
-        (["classify", "--input", str(web), *prime, "--seed", "3"],
-         {"field": "fp:10007", "seed": 3}),
+        (["classify", "--input", str(web), *prime], {"field": "fp:10007"}),
         (["gin2", "--input", str(web), *prime, "--seed", "5", "--trials", "2"],
          {"field": "fp:10007", "seed": 5, "trials": 2}),
         (["family", "VII", "5", *prime, "--seed", "11", "--trials", "2"],
@@ -313,8 +311,7 @@ class TestInputFile:
 
     @pytest.mark.parametrize("argv, text", [
         pytest.param(("hf", "X1^5"), "X1^2*X2", id="hf"),
-        pytest.param(("classify", WEB, "--seed", "3"), "x1^2, x1*x2, x2^2, x1*x4 - x2*x3",
-                     id="classify"),
+        pytest.param(("classify", WEB), "x1^2, x1*x2, x2^2, x1*x4 - x2*x3", id="classify"),
     ])
     def test_argument_and_input_together_is_two(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.txt"
@@ -364,19 +361,18 @@ class TestExitCodes:
         assert code == 2
 
     def test_dependent_quadrics_is_two(self, capsys):
-        code, _, err = run(capsys, "classify", "x1^2, x2^2, x1^2 + x2^2, x3^2",
-                           "--seed", "1")
+        code, _, err = run(capsys, "classify", "x1^2, x2^2, x1^2 + x2^2, x3^2")
         assert code == 2
 
     def test_hypothesis_violation_is_three(self, capsys):
-        code, _, err = run(capsys, "classify", "x1*x2, x1*x3, x1*x4, x2^2 - x3*x4",
-                           "--seed", "4")
+        code, _, err = run(capsys, "classify", "x1*x2, x1*x3, x1*x4, x2^2 - x3*x4")
         assert code == 3 and "hypothesis" in err
 
     @pytest.mark.parametrize("command", ["classify", "gin2"])
     def test_characteristic_two_web_is_three(self, capsys, command):
+        seed = ["--seed", "1"] if command == "gin2" else []
         code, _, err = run(capsys, command, "X1^2, X1*X2, X2^2+X3*X4, X3^2",
-                           "--field", "fp:2", "--seed", "1")
+                           "--field", "fp:2", *seed)
         assert code == 3 and "characteristic != 2" in err
 
     def test_characteristic_at_most_degree_is_two(self, capsys):
@@ -385,7 +381,7 @@ class TestExitCodes:
         assert "positive" not in err
 
     def test_classify_characteristic_at_most_four_is_two(self, capsys):
-        code, out, err = run(capsys, "classify", WEB, "--field", "fp:3", "--seed", "3", "--json")
+        code, out, err = run(capsys, "classify", WEB, "--field", "fp:3", "--json")
         assert code == 2 and not out
         assert "characteristic p > 4" in err
 
