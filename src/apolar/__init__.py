@@ -72,7 +72,6 @@ from .poly import (
     Poly,
     diff_action,
     monomials_of_degree,
-    random_linear_change,
     random_linear_form,
 )
 

@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gin2", help="degree-2 lex generic initial monomials of a web")
     sp.add_argument("web", nargs="?")
-    _add_flags(sp, "field", "seed", "trials", "input")
+    _add_flags(sp, "field", "input")
 
     sp = sub.add_parser("perazzo", help="sharpness example of a given socle degree")
     sp.add_argument("d", type=int)
@@ -376,12 +376,11 @@ def _cmd_family(args):
 
 def _cmd_gin2(args):
     field = _need_prime(_get_field(args), "gin2")
-    seed = _need_seed(args)
     web = _parse_web(args, field)
-    pivots = gin2(web, trials=args.trials, seed=seed)
+    pivots = gin2(web)
     names = [_mono_text(e) for e in pivots]
-    kind = _GIN2_SETS.get(pivots, "other")
-    result = {"pivots": names, "set": kind, "trials": args.trials, "seed": seed}
+    kind = _GIN2_SETS[pivots]
+    result = {"pivots": names, "set": kind}
     return result, [f"gin2 pivots: {{{', '.join(names)}}} ({kind} set)"]
 
 

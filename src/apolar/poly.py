@@ -334,18 +334,6 @@ def random_linear_form(n: int, field: PrimeField, rng: random.Random) -> Poly:
     return Poly(n, field, terms)
 
 
-def random_linear_change(n: int, field: PrimeField, rng: random.Random) -> LinearChange:
-    """A uniformly random invertible change of coordinates (resampled until invertible)."""
-    if not isinstance(field, PrimeField):
-        raise ValueError("random coordinate changes require a prime field")
-    while True:
-        m = [[field.rand(rng) for _ in range(n)] for _ in range(n)]
-        try:
-            return LinearChange(m, field)
-        except ValueError:  # singular: draw again
-            pass
-
-
 def multi_factorial(exp: tuple[int, ...]) -> int:
     """Product of the factorials of the entries."""
     return prod(map(factorial, exp))

@@ -19,7 +19,10 @@ chain of gcds with derivatives), the determinant along a random pencil of a
 quadric web (not the h-vector of its determinantal quartic), the dual
 pencil of a quadric web with a common kernel by substituting coordinates
 into its quadrics (not by deleting a row and column of their symmetric
-matrices), the Hilbert function of a web ideal from the rank of its whole
+matrices), the degree-2 generic initial ideal of a web from the pivots of
+its transformed quadrics, under sampled coordinate changes or under every
+first column over a small field (not from the quartic det[S_1 v | .. |
+S_4 v]), the Hilbert function of a web ideal from the rank of its whole
 matrix of q * x^w in each degree (not by prolonging its inverse system),
 and polynomial text read one character per method call (not one
 regular-expression match per term).
@@ -29,10 +32,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial, prod
 
 from apolar import (
+    GENERIC_GIN2,
+    SPECIAL_GIN2,
     DualForm,
     ExactMatrix,
     QQ,
@@ -40,12 +45,12 @@ from apolar import (
     LinearChange,
     ParseError,
     Poly,
+    PrimeField,
     QuadricWeb,
     ann_degree,
     diff_action,
     monomials_of_degree,
     quotient_basis,
-    random_linear_change,
 )
 from apolar.catalog import _ideal_rows, _symmetric_matrices
 
@@ -449,6 +454,53 @@ def pencil_signature_by_random_pencil(web: QuadricWeb, rng: random.Random):
     return None
 
 
+def gin2_by_sampling(web: QuadricWeb, trials: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Degree-2 lex gin of a web as the lex-greatest pivot set over random changes.
+
+    Per trial, a random coordinate change is applied, the four transformed
+    quadrics are row-reduced against the lex-descending degree-2 monomial
+    columns, and the pivot columns are read off; the outcome with the
+    smallest column index tuple wins.  It is the gin with high probability
+    over a large field, not over a small one.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    master = random.Random(seed)
+    best = None
+    for _ in range(trials):
+        g = random_linear_change(4, web.field, random.Random(master.getrandbits(63)))
+        pivots = tuple(web.transformed(g).coefficient_matrix().pivot_columns())
+        if len(pivots) < 4:
+            raise InternalInconsistencyError("independent web lost rank under a coordinate change")
+        if best is None or pivots < best:
+            best = pivots
+    mons = monomials_of_degree(4, 2)
+    return tuple(mons[c] for c in best)
+
+
+def gin2_by_exhaustion(web: QuadricWeb) -> tuple[tuple[int, ...], ...]:
+    """Degree-2 lex gin of a web over a small prime field, by walking every first column.
+
+    Under x -> M x the coefficients of x_1 x_j in the transformed quadrics
+    form M^T [S_1 v | .. | S_4 v], v the first column of M, so whether they
+    have rank four depends on v alone; M = [v | e_j for j != i], i the first
+    nonzero index of v, is invertible.  Every projective v is tried; the gin
+    is generic when one of them makes x_1^2, .., x_1 x_4 the pivots, special
+    otherwise.  Exact for p > 4, where a nonzero quartic does not vanish on
+    all of F_p^4.
+    """
+    field = web.field
+    p = field.p
+    for i in range(4):
+        for tail in product(range(p), repeat=3 - i):
+            v = [0] * i + [1, *tail]
+            matrix = [[v[r]] + [int(r == j) for j in range(4) if j != i] for r in range(4)]
+            change = LinearChange(matrix, field)
+            if web.transformed(change).coefficient_matrix().pivot_columns() == [0, 1, 2, 3]:
+                return GENERIC_GIN2
+    return SPECIAL_GIN2
+
+
 def quadric_ideal_hf_by_ranks(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
     """Hilbert function of a web ideal from the rank of its ideal matrix in each degree.
 
@@ -536,6 +588,18 @@ def random_form(n: int, d: int, field, rng: random.Random, density: float = 0.7)
                     terms[m] = c
         if terms:
             return DualForm(Poly(n, field, terms))
+
+
+def random_linear_change(n: int, field, rng: random.Random) -> LinearChange:
+    """A uniformly random invertible change of coordinates (resampled until invertible)."""
+    if not isinstance(field, PrimeField):
+        raise ValueError("random coordinate changes require a prime field")
+    while True:
+        m = [[field.rand(rng) for _ in range(n)] for _ in range(n)]
+        try:
+            return LinearChange(m, field)
+        except ValueError:  # singular: draw again
+            pass
 
 
 def random_operator(n: int, d: int, field, rng: random.Random) -> Poly:

@@ -18,7 +18,7 @@ CONFIG_KEYS = {
     "classify": ["field"],
     "catalog": [],
     "family": ["field", "seed", "trials"],
-    "gin2": ["field", "seed", "trials"],
+    "gin2": ["field"],
     "perazzo": ["field", "seed", "trials"],
     "snake": ["field", "seed", "n"],
 }
@@ -84,7 +84,7 @@ GOLDEN_COMMANDS = [
     ("classify", "x1*x3, x1*x4, x2*x3, x2*x4"),
     ("catalog", "IX"),
     ("family", "VII", "5", "--seed", "11"),
-    ("gin2", "x1^2, x1*x2, x2^2, x1*x3", "--seed", "5"),
+    ("gin2", "x1^2, x1*x2, x2^2, x1*x3"),
     ("perazzo", "4", "--seed", "1"),
     ("snake", PERAZZO3, "--seed", "13"),
 ]
@@ -204,10 +204,13 @@ def test_family_output(capsys):
 
 
 def test_gin2_special_set(capsys):
-    report = run_json(capsys, "gin2", "x1^2, x1*x2, x2^2, x1*x4 - x2*x3",
-                      "--seed", "5", "--json")
-    assert report["result"]["set"] == "special"
-    assert report["result"]["pivots"] == ["x1^2", "x1*x2", "x1*x3", "x2^2"]
+    report = run_json(capsys, "gin2", "x1^2, x1*x2, x2^2, x1*x4 - x2*x3", "--json")
+    assert report["result"] == {"pivots": ["x1^2", "x1*x2", "x1*x3", "x2^2"], "set": "special"}
+
+
+def test_gin2_split_web_is_generic_over_a_small_field(capsys):
+    report = run_json(capsys, "gin2", "x1^2, x2^2, x3^2, x4^2", "--field", "fp:5", "--json")
+    assert report["result"] == {"pivots": ["x1^2", "x1*x2", "x1*x3", "x1*x4"], "set": "generic"}
 
 
 def test_input_from_file(tmp_path, capsys):
@@ -239,7 +242,7 @@ UNDECLARED_FLAGS = [
     (("bounds", "macaulay", "13", "2"), ["--field", "--seed", "--trials", "--n", "--input"]),
     (("catalog", "IX"), ["--field", "--seed", "--trials", "--n", "--input"]),
     (("classify", WEB), ["--trials", "--n", "--seed"]),
-    (("gin2", WEB, "--seed", "5"), ["--n"]),
+    (("gin2", WEB), ["--n", "--seed", "--trials"]),
     (("family", "VII", "5", "--seed", "11"), ["--n", "--input"]),
     (("perazzo", "4", "--seed", "1"), ["--n", "--input"]),
     (("snake", PERAZZO3, "--seed", "13"), ["--trials"]),
@@ -283,8 +286,7 @@ def test_every_declared_flag_is_read_back(tmp_path, capsys):
         (["bounds", "green", "6", "3"], {}),
         (["catalog"], {}),
         (["classify", "--input", str(web), *prime], {"field": "fp:10007"}),
-        (["gin2", "--input", str(web), *prime, "--seed", "5", "--trials", "2"],
-         {"field": "fp:10007", "seed": 5, "trials": 2}),
+        (["gin2", "--input", str(web), *prime], {"field": "fp:10007"}),
         (["family", "VII", "5", *prime, "--seed", "11", "--trials", "2"],
          {"field": "fp:10007", "seed": 11, "trials": 2}),
         (["perazzo", "3", *prime, "--seed", "1", "--trials", "2"],
@@ -370,9 +372,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["classify", "gin2"])
     def test_characteristic_two_web_is_three(self, capsys, command):
-        seed = ["--seed", "1"] if command == "gin2" else []
-        code, _, err = run(capsys, command, "X1^2, X1*X2, X2^2+X3*X4, X3^2",
-                           "--field", "fp:2", *seed)
+        code, _, err = run(capsys, command, "X1^2, X1*X2, X2^2+X3*X4, X3^2", "--field", "fp:2")
         assert code == 3 and "characteristic != 2" in err
 
     def test_characteristic_at_most_degree_is_two(self, capsys):

@@ -13,10 +13,9 @@ from apolar import (
     diff_action,
     monomials_of_degree,
     parse_poly,
-    random_linear_change,
     random_linear_form,
 )
-from oracles import substitute_naively
+from oracles import random_linear_change, substitute_naively
 
 FP = GF()
 
