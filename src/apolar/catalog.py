@@ -146,27 +146,24 @@ class QuadricWeb:
         if change.n != 4 or change.field != self.field:
             raise ValueError("coordinate change must act on the web's four variables and field")
         field = self.field
-        add, mul = field.add, field.mul
+        p = field.p if isinstance(field, PrimeField) else None
         zero = field.zero
-        m = change.matrix
+        columns = list(zip(*change.matrix))
         out = []
         for s in _symmetric_matrices(self.quadrics, 4):
-            sm = [[zero] * 4 for _ in range(4)]
-            for i in range(4):
-                for j in range(4):
-                    acc = zero
-                    for k in range(4):
-                        acc = add(acc, mul(s[i][k], m[k][j]))
-                    sm[i][j] = acc
+            # payloads are Fractions or ints: sum the products of M^T (S M)
+            # raw, and over F_p reduce once per coefficient
+            sm = [[sum(map(mul, row, col), zero) for col in columns] for row in s]
+            sm_columns = list(zip(*sm))
             terms = {}
             for i in range(4):
                 for j in range(i, 4):
-                    acc = zero
-                    for k in range(4):
-                        acc = add(acc, mul(m[k][i], sm[k][j]))
+                    acc = sum(map(mul, columns[i], sm_columns[j]), zero)
                     if i != j:
-                        acc = add(acc, acc)
-                    if not field.is_zero(acc):
+                        acc *= 2
+                    if p is not None:
+                        acc %= p
+                    if acc:
                         exp = [0] * 4
                         exp[i] += 1
                         exp[j] += 1

@@ -10,14 +10,19 @@ arbitrary operators are combinations of its rows.  (The inverse systems of
 quadric webs in `catalog` are read off the web's ideal rows instead.)
 
 A catalecticant entry is one lookup in F's coefficients scaled by e!, which
-a private record on the form keeps with its h-vector.  The record is filled
-on first use and never changes a result; a race only fills it twice.
+a private record on the form keeps with its h-vector.  Over QQ the record
+holds them as integer numerators over one common denominator, so the
+contractions and ranks below run on plain ints, and only `DualForm.poly`
+divides, when something reads it.  The record is filled on first use and
+never changes a result; a race only fills it twice.
 
 In the divided-power basis contraction is a shift of indices (Iarrobino and
 Kanev, "Power Sums, Gorenstein Algebras, and Determinantal Loci", LNM 1721,
 1999, Appendix A): if b_e = c_e e! are F's scaled coefficients, the scaled
-coefficient of g o F at e' is sum_u g_u b_(e'+u), with no factorials.  So
-`contract` gathers g o F's record straight from F's, and the contracted form
+coefficient of g o F at e' is sum_u g_u b_(e'+u), with no factorials.  Over
+QQ, with b = B / D and g's coefficients cleared to integers G_u over D_g, it
+is sum_u G_u B_(e'+u) over D D_g: integer products again.  So `contract`
+gathers g o F's record straight from F's, and the contracted form
 builds its polynomial only when something reads it.  F's record keeps a weak
 map of the contractions still alive, so contracting twice by the same
 operator returns the same form, h-vector included, while the map never keeps
@@ -33,7 +38,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .fields import PrimeField
 from .linalg import ExactMatrix
@@ -121,10 +126,11 @@ class DualForm:
         if self._poly is None:
             field, record = self.field, self._record
             codes = _codes(self.n, self.degree, record.base)
+            scaled, den = record.scaled, record.den
             self._poly = Poly._trusted(self.n, field, {
-                e: field.div(record.scaled[c], field.from_int(multi_factorial(e)))
+                e: field.div(field.from_int(scaled[c]), field.from_int(den * multi_factorial(e)))
                 for e, c in zip(monomials_of_degree(self.n, self.degree), codes)
-                if c in record.scaled
+                if c in scaled
             })
         return self._poly
 
@@ -136,18 +142,21 @@ class DualForm:
 
 
 class _Record:
-    """Scaled coefficients, code base, h-vector once ranked, live contractions.
+    """Scaled coefficients, their denominator, code base, h-vector once ranked, live contractions.
 
-    `scaled` holds F's coefficients times e!, keyed by `_code(e, base)`.  A
-    contraction keeps its parent's base, so codes stay additive down a chain
-    of contractions; `images` maps an operator's terms to its contraction of
-    F while that form is alive.
+    `scaled` holds F's coefficients times e!, keyed by `_code(e, base)`, as
+    plain ints: over F_p the residues, with `den` = 1; over QQ the numerators
+    over one common denominator `den`, so the coefficient at e is
+    scaled[code] / (den e!).  A contraction keeps its parent's base, so codes
+    stay additive down a chain of contractions; `images` maps an operator's
+    terms to its contraction of F while that form is alive.
     """
 
-    __slots__ = ("scaled", "base", "h", "images")
+    __slots__ = ("scaled", "den", "base", "h", "images")
 
-    def __init__(self, scaled: dict, base: int):
+    def __init__(self, scaled: dict, den: int, base: int):
         self.scaled = scaled
+        self.den = den
         self.base = base
         self.h: HVector | None = None
         self.images = weakref.WeakValueDictionary()
@@ -155,11 +164,21 @@ class _Record:
 
 def _record(F: DualForm) -> _Record:
     if F._record is None:
-        field = F.field
-        F._record = _Record({
-            _code(e, F.degree + 1): field.mul(c, field.from_int(multi_factorial(e)))
-            for e, c in F.poly.terms.items()
-        }, F.degree + 1)
+        field, base, terms = F.field, F.degree + 1, F.poly.terms
+        if isinstance(field, PrimeField):
+            den = 1
+            scaled = {_code(e, base): c * multi_factorial(e) % field.p for e, c in terms.items()}
+        else:
+            # numerators over the lcm of the c_e's denominators, then over
+            # the least denominator of the c_e e!: both divided by their gcd
+            den = lcm(*(c.denominator for c in terms.values()))
+            scaled = {_code(e, base): c.numerator * (den // c.denominator) * multi_factorial(e)
+                      for e, c in terms.items()}
+            common = gcd(den, *scaled.values())
+            if common > 1:
+                den //= common
+                scaled = {code: b // common for code, b in scaled.items()}
+        F._record = _Record(scaled, den, base)
     return F._record
 
 
@@ -184,16 +203,18 @@ def catalecticant(F: DualForm, i: int) -> ExactMatrix:
     of F at exponent u+v times the product of factorials of u+v: one lookup
     of the code of u+v in the scaled coefficients kept in F's record.  Rows
     and columns run over the full monomial bases of the operator ring; the
-    rank agrees with any quotient-basis version.
+    rank agrees with any quotient-basis version.  The matrix keeps the
+    record's ints over its denominator: over QQ it is ranked and reduced
+    with no Fraction, and its entries become Fractions only when read.
     """
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"catalecticant index {i} outside 0..{d}")
     record = _record(F)
-    lookup, zero = record.scaled.get, F.field.zero
+    lookup = record.scaled.get
     cols = _codes(F.n, d - i, record.base)
-    return ExactMatrix([[lookup(r + c, zero) for c in cols]
-                        for r in _codes(F.n, i, record.base)], F.field)
+    return ExactMatrix._integral([[lookup(r + c, 0) for c in cols]
+                                  for r in _codes(F.n, i, record.base)], record.den, F.field)
 
 
 def hilbert_function(F: DualForm) -> HVector:
@@ -293,9 +314,10 @@ def contract(g: Poly, F: DualForm) -> DualForm | None:
 
     It is computed in the divided-power basis: the scaled coefficient of
     g o F at a degree-(d - s) exponent e' is sum_u g_u b_(e'+u), one lookup
-    per term of g in F's scaled coefficients b.  The result shares F's code
-    base and builds its `poly` only when read; while it is alive, contracting
-    F by the same g again returns it.
+    per term of g in F's scaled coefficients b.  Over QQ g's coefficients are
+    cleared to ints once, and the image's denominator is F's times theirs.
+    The result shares F's code base and builds its `poly` only when read;
+    while it is alive, contracting F by the same g again returns it.
     """
     if g.is_zero():
         raise ValueError("contraction by the zero polynomial")
@@ -311,9 +333,15 @@ def contract(g: Poly, F: DualForm) -> DualForm | None:
         return image
     field, base, degree = F.field, record.base, F.degree - g.degree()
     lookup = record.scaled.get
-    shifts = [(_code(u, base), c) for u, c in g.terms.items()]
-    # payloads are Fractions or ints in [0, p): sum them raw, reduce mod p once
+    # sum int products raw: mod p reduce once, over QQ clear g's denominators
     p = field.p if isinstance(field, PrimeField) else None
+    if p is None:
+        den_g = lcm(*(c.denominator for c in g.terms.values()))
+        shifts = [(_code(u, base), c.numerator * (den_g // c.denominator))
+                  for u, c in g.terms.items()]
+    else:
+        den_g = 1
+        shifts = [(_code(u, base), c) for u, c in g.terms.items()]
     scaled = {}
     for code in _codes(F.n, degree, base):
         acc = 0
@@ -330,7 +358,7 @@ def contract(g: Poly, F: DualForm) -> DualForm | None:
     image = object.__new__(DualForm)
     image._poly = None
     image.n, image.degree, image.field = F.n, degree, field
-    image._record = _Record(scaled, base)
+    image._record = _Record(scaled, record.den * den_g, base)
     record.images[key] = image
     return image
 

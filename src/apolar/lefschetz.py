@@ -442,8 +442,7 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
         lo = max(ranks_a[i], b_dims[1])
         hi = min(a_dims[1], ranks_a[i] + b_dims[1])
         if lo < hi:
-            rows = catalecticant(L, i).entries + catalecticant(B, i + 1 - s).entries
-            lo = ExactMatrix(rows, F.field).rank()
+            lo = ExactMatrix._stacked([catalecticant(L, i), catalecticant(B, i + 1 - s)]).rank()
         rank_c = lo - b_dims[1]
         records.append(
             SnakeRecord(

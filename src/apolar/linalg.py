@@ -19,9 +19,21 @@ rows and columns left reach the elimination:
   over word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS
   35(3), 2008);
 - over QQ, `_eliminate_int` runs fraction-free Bareiss elimination (Bareiss
-  1968) on the rows cleared of their denominators.  Its reduced variant is
-  fraction-free Gauss-Jordan elimination: every pivot ends equal to the last
-  one, D, and the reduced row echelon form is the integer matrix over D.
+  1968) on integer rows: a matrix built by `_integral` (every catalecticant)
+  holds integer rows over one denominator already, and any other has each
+  row cleared of its denominators.  Its reduced variant is fraction-free
+  Gauss-Jordan elimination: every pivot ends equal to the last one, D, and
+  the reduced row echelon form is the integer matrix over D.
+
+`rank` over QQ first tries a mod-p shadow when the rows left after the peel
+hold at least `_SHADOW_CELLS` cells: they are reduced mod DEFAULT_PRIME and
+ranked by `_eliminate_mod`.  A full rank mod p is the rank over QQ, since a
+maximal minor that is nonzero mod p is a nonzero integer; a deficient one
+decides nothing, and Bareiss runs as well.  The rows are integers by then,
+so no denominator can vanish mod p.  Only `rank` reads the shadow: the rank
+profile mod p can differ from the one over QQ, as [[p, 1]] pivots at column
+0 over QQ and at column 1 mod p, so `det`, `pivot_columns` and
+`kernel_basis` always run Bareiss.
 
 Matrices are dense lists: the ones at play are desk scale, and the sparse
 ones (ideal and inverse-system rows of a quadric web, catalecticants of
@@ -35,20 +47,59 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import lcm, prod
 
-from .fields import QQ, PrimeField
+from .fields import DEFAULT_PRIME, QQ, PrimeField
 
 
 class ExactMatrix:
     """Rectangular matrix with all entries in one exact field."""
 
     def __init__(self, entries, field):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
+        self._entries = [list(row) for row in entries]
+        self._ints, self._den = None, 1
+        self.rows = len(self._entries)
+        self.cols = len(self._entries[0]) if self.rows else 0
+        for row in self._entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
         self.field = field
+
+    @classmethod
+    def _integral(cls, ints: list[list[int]], den: int, field) -> ExactMatrix:
+        """The matrix ints / den, from rows of one width that are normalised already.
+
+        Over F_p the rows hold residues in [0, p) and `den` is 1; over QQ they
+        are integer numerators over the positive `den`, and the Fraction
+        entries are made only when `entries` is read.  The rows are kept, not
+        copied, and never changed.
+        """
+        m = object.__new__(cls)
+        m._ints, m._den, m.field = ints, den, field
+        m._entries = ints if isinstance(field, PrimeField) else None
+        m.rows = len(ints)
+        m.cols = len(ints[0]) if ints else 0
+        return m
+
+    @classmethod
+    def _stacked(cls, blocks: list[ExactMatrix]) -> ExactMatrix:
+        """The rows of integral `blocks`, of one width and one field, in order.
+
+        The result is integral over the lcm of their denominators: a block is
+        scaled, one multiply per entry, only where its denominator differs.
+        """
+        den = lcm(*(b._den for b in blocks))
+        rows = []
+        for b in blocks:
+            f = den // b._den
+            rows += b._ints if f == 1 else [[f * x for x in row] for row in b._ints]
+        return cls._integral(rows, den, blocks[0].field)
+
+    @property
+    def entries(self) -> list[list]:
+        """The rows as field elements; an integral QQ matrix makes its Fractions on first read."""
+        if self._entries is None:
+            den, zero = self._den, QQ.zero
+            self._entries = [[Fraction(x, den) if x else zero for x in row] for row in self._ints]
+        return self._entries
 
     def __getitem__(self, rc):
         r, c = rc
@@ -65,18 +116,26 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
 
     def rank(self) -> int:
-        return len(_echelon(self.entries, self.field, False)[0])
+        """The rank; over QQ through the mod-p shadow of the module docstring when it pays."""
+        _, peeled, _, keep, sub = _prepared(self)
+        if isinstance(self.field, PrimeField):
+            return len(peeled) + len(_eliminate_mod(sub, self.field.p, False)[0])
+        if len(sub) * len(keep) >= _SHADOW_CELLS and _full_rank_mod(sub, len(keep)):
+            return len(peeled) + min(len(sub), len(keep))
+        return len(peeled) + len(_eliminate_int(sub, False)[0])
 
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, det, _ = _echelon(self.entries, self.field, False)
+        pivots, det, _ = _echelon(self, False)
         if len(pivots) < self.rows:
             return self.field.zero
         if isinstance(self.field, PrimeField):
             return det
-        # over QQ, the determinant of the cleared rows over their row lcms
-        return Fraction(det, prod(_row_lcm(row) for row in self.entries))
+        # over QQ, the determinant of the integer rows over their scales
+        if self._ints is not None:
+            return Fraction(det, self._den ** self.rows)
+        return Fraction(det, prod(_row_lcm(row) for row in self._entries))
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel {v : M v = 0}, read off the reduced echelon form.
@@ -85,7 +144,7 @@ class ExactMatrix:
         peeled pivot column keeps its 0, since its reduced row is a unit row.
         """
         F = self.field
-        pivots, _, rows = _echelon(self.entries, F, True)
+        pivots, _, rows = _echelon(self, True)
         pivot_set = set(pivots)
         basis = []
         for fc in range(self.cols):
@@ -100,36 +159,69 @@ class ExactMatrix:
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the pivots of the row echelon form."""
-        return _echelon(self.entries, self.field, False)[0]
+        return _echelon(self, False)[0]
 
 
-def _echelon(entries, field, reduced: bool):
-    """Row-reduce `entries`: (pivot columns, det, reduced rows).
+#: Cells left after `_peel` from which `rank` over QQ tries the shadow.
+#: Measured on the exactness workload's QQ ranks: below about 400 cells
+#: Bareiss beats the packed elimination mod p even on full-rank rows, and
+#: below 512 the deficient rows, which pay for both eliminations, lose
+#: again what the shadow saves on the full-rank ones.
+_SHADOW_CELLS = 512
 
-    The rows are normalised first: reduced mod p over F_p, scaled by the lcm
-    of their denominators over QQ (so the rows are integers and `det` is that
-    of the scaled rows).  `_peel` then takes out the singleton rows, and the
-    field's elimination reduces the rows and columns that are left.  `det` is
-    the determinant when the pivots fill the rows of a square matrix: the
-    sign of the peel order times the peeled entries times the determinant of
-    the rest.  With `reduced`, `rows` pairs each pivot column the elimination
-    found with its row of the reduced row echelon form, full width, as field
-    elements; a peeled pivot c has the unit row e_c and no entry there.
+
+def _prepared(matrix: ExactMatrix):
+    """The normalised rows of `matrix` and its peel: (rows, peeled, rest, keep, sub).
+
+    The rows are reduced mod p over F_p, and over QQ scaled to integers: an
+    integral matrix gives its rows as they are, any other has each row
+    scaled by the lcm of its denominators, so the row space is unchanged.
+    `_peel` then takes out the singleton rows; `keep` lists the columns left
+    and `sub` holds the rows `rest` on them.  When nothing was taken out,
+    `sub` is the rows themselves, or over QQ a copy of an integral matrix's
+    rows, which Bareiss elimination would change in place.
     """
-    cols = len(entries[0]) if entries else 0
+    field, cols = matrix.field, matrix.cols
     prime = isinstance(field, PrimeField)
-    if not prime:
-        m = [_cleared(row) for row in entries]
-    elif _out_of_range(entries, field.p):
-        m = [[x % field.p for x in row] for row in entries]
+    if matrix._ints is not None:
+        m = matrix._ints
+    elif not prime:
+        m = [_cleared(row) for row in matrix._entries]
+    elif _out_of_range(matrix._entries, field.p):
+        m = [[x % field.p for x in row] for row in matrix._entries]
     else:
-        m = entries
+        m = matrix._entries
     peeled, rest, kept = _peel(m, cols)
     if len(rest) == len(m) and all(kept):
-        keep, sub = range(cols), m
-    else:
-        keep = list(compress(range(cols), kept))
-        sub = [list(compress(m[i], kept)) for i in rest]
+        sub = [row[:] for row in m] if m is matrix._ints and not prime else m
+        return m, peeled, rest, range(cols), sub
+    sub = [list(compress(m[i], kept)) for i in rest]
+    return m, peeled, rest, list(compress(range(cols), kept)), sub
+
+
+def _full_rank_mod(sub, cols: int) -> bool:
+    """Whether the integer rows, `cols` wide, have rank min(rows, cols) mod DEFAULT_PRIME."""
+    p = DEFAULT_PRIME
+    residues = [r for r in ([x % p for x in row] for row in sub) if any(r)]
+    full = min(len(sub), cols)
+    return len(residues) >= full and len(_eliminate_mod(residues, p, False)[0]) == full
+
+
+def _echelon(matrix: ExactMatrix, reduced: bool):
+    """Row-reduce `matrix`: (pivot columns, det, reduced rows).
+
+    `_prepared` normalises and peels the rows, and the field's elimination
+    reduces the rows and columns that are left; over QQ `det` is then that
+    of the integer rows.  `det` is the determinant when the pivots fill the
+    rows of a square matrix: the sign of the peel order times the peeled
+    entries times the determinant of the rest.  With `reduced`, `rows` pairs
+    each pivot column the elimination found with its row of the reduced row
+    echelon form, full width, as field elements; a peeled pivot c has the
+    unit row e_c and no entry there.
+    """
+    field, cols = matrix.field, matrix.cols
+    prime = isinstance(field, PrimeField)
+    m, peeled, rest, keep, sub = _prepared(matrix)
     n = len(keep)
     if prime:
         found, det, rows = _eliminate_mod(sub, field.p, reduced)
@@ -148,7 +240,7 @@ def _echelon(entries, field, reduced: bool):
     pivots = found
     if peeled:
         pivots = sorted(found + [c for _, c in peeled])
-        if len(pivots) == len(entries) == cols:
+        if len(pivots) == matrix.rows == cols:
             det *= _sign([i for i, _ in peeled] + rest) * _sign([c for _, c in peeled] + keep)
             det *= prod(m[i][c] for i, c in peeled)
             if prime:

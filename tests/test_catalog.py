@@ -148,7 +148,7 @@ class TestTransformed:
             if not field.is_zero(ExactMatrix(m, field).det()):
                 return LinearChange(m, field)
 
-    @pytest.mark.parametrize("field", [FP, QQ])
+    @pytest.mark.parametrize("field", [FP, QQ, GF(7)])
     def test_congruence_equals_substitution(self, field):
         rng = random.Random(303)
         for label in CATALOG_LABELS:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from apolar import (
+    DEFAULT_PRIME,
     GF,
     QQ,
     DualForm,
@@ -32,7 +33,7 @@ from apolar import (
     snake_consistency,
     wlp_check,
 )
-from apolar import duality
+from apolar import duality, linalg
 from apolar.duality import pairing_rows
 from oracles import (
     ann_dimension_by_kernel,
@@ -492,6 +493,34 @@ class TestContract:
         gc.collect()
         assert alive() is None
         assert not duality._record(F).images
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["all-over-p", "some-over-p"])
+def test_denominators_divisible_by_the_shadow_prime(mixed):
+    # the record clears the denominators before any rank reduces its rows
+    # mod p = DEFAULT_PRIME, so a p in them is no special case.  With every
+    # coefficient over p the numerators keep their residues and the middle
+    # catalecticant, 35 x 35, is ranked mod p alone.  With p only under the
+    # terms in x1, x2 every other numerator vanishes mod p, the residues
+    # have rank at most 4, and the rank falls back to Bareiss
+    p = DEFAULT_PRIME
+    rng = random.Random(19)
+
+    def coefficient(e):
+        over_p = not mixed or not any(e[2:])
+        return Fraction(rng.randint(1, 9), p if over_p else rng.randint(1, 5))
+
+    F = DualForm(Poly(5, QQ, {e: coefficient(e) for e in monomials_of_degree(5, 6)}))
+    ell = Poly(5, QQ, {e: coefficient(e) for e in monomials_of_degree(5, 1)})
+    assert duality._record(F).den % p == 0
+    with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
+        assert catalecticant(F, 3).rank() == 35
+    assert bareiss.called == mixed
+    assert tuple(hilbert_function(F)) == hf_by_kernels(F) == (1, 5, 15, 35, 15, 5, 1)
+    B = contract(ell, F)
+    assert duality._record(B).den % p == 0
+    assert tuple(hilbert_function(B)) == hf_by_kernels(B)
+    assert B.poly == contract_by_differentiation(ell, F).poly
 
 
 @st.composite

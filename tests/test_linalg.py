@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from apolar import (
+    DEFAULT_PRIME,
     GF,
     QQ,
     ExactMatrix,
@@ -14,6 +17,7 @@ from apolar import (
     monomials_of_degree,
     parse_poly,
 )
+from apolar import linalg
 from oracles import column_rank_profile, leibniz_det
 
 FP = GF()
@@ -289,3 +293,72 @@ def test_packed_elimination_on_large_matrices(kind, p):
     product = [[-sum(entries[i][k] * v[k] for k in range(n)) % p for v in kernel]
                for i in range(n)]
     assert product == unit
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_stacked_integral_blocks_keep_their_entries(field):
+    # the blocks' denominators differ over QQ, so the top block is scaled
+    den = 3 if field == QQ else 1
+    top = ExactMatrix._integral([[1, 2]], den, field)
+    bottom = ExactMatrix._integral([[4, 0], [1, 1]], 2 if field == QQ else 1, field)
+    stacked = ExactMatrix._stacked([top, bottom])
+    assert stacked == ExactMatrix(top.entries + bottom.entries, field)
+    assert stacked.rank() == 2
+
+
+@st.composite
+def shadow_cases(draw):
+    """(kind, integer rows, a denominator per row) on both sides of the shadow's cutoff.
+
+    Every entry is nonzero, so nothing is peeled and the shadow, where it
+    runs, sees the whole matrix.  `dense` rows are random; `product` plants
+    a deficiency, the product of a rows x k and a k x cols matrix; `lifted`
+    rows are b + p e with b such a product, k < min(rows, cols), so they are
+    deficient mod p = DEFAULT_PRIME and, for almost every e, of full rank
+    over QQ.
+    """
+    kind = draw(st.sampled_from(["dense", "product", "lifted"]))
+    size = st.one_of(st.integers(1, 12), st.integers(20, 32))
+    rows, cols = draw(size), draw(size)
+    rng = draw(st.randoms(use_true_random=False))
+
+    def block(r, c, low=1):
+        return [[rng.randint(low, 9) for _ in range(c)] for _ in range(r)]
+
+    if kind == "dense":
+        ints = [[x if rng.random() < 0.5 else -x for x in row] for row in block(rows, cols)]
+    else:
+        k = draw(st.integers(0 if kind == "lifted" else 1, min(rows, cols) - (kind == "lifted")))
+        a, b = block(rows, k), block(k, cols)
+        ints = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+                for i in range(rows)]
+        if kind == "lifted":
+            ints = [[x + DEFAULT_PRIME * e for x, e in zip(row, lift)]
+                    for row, lift in zip(ints, block(rows, cols))]
+    return kind, ints, [rng.randint(1, 6) for _ in range(rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shadow_cases())
+@example(("dense", [[DEFAULT_PRIME, 1]], [1]))  # pivots at column 0 over QQ, at 1 mod p
+def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
+    # a full rank mod p certifies the rank over QQ; anything less falls back
+    # to Bareiss, and only `rank` reads the shadow, so the pivot columns stay
+    # those over QQ
+    kind, ints, dens = case
+    rows, cols = len(ints), len(ints[0])
+    entries = [[Fraction(x, d) for x in row] for row, d in zip(ints, dens)]
+    cleared = [linalg._cleared(row) for row in entries]
+    pivots = linalg._eliminate_int([row[:] for row in cleared], False)[0]
+    full = min(rows, cols)
+    if kind == "lifted":
+        assume(len(pivots) == full)
+        assert not linalg._full_rank_mod(cleared, cols)
+    den = lcm(*dens)
+    integral = [[x * (den // d) for x in row] for row, d in zip(ints, dens)]
+    for m in (ExactMatrix(entries, QQ), ExactMatrix._integral(integral, den, QQ)):
+        with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
+            assert m.rank() == len(pivots)
+        shadowed = rows * cols >= linalg._SHADOW_CELLS and len(pivots) == full and kind != "lifted"
+        assert bareiss.called != shadowed
+        assert m.pivot_columns() == pivots
