@@ -6,15 +6,18 @@ the rank of the i-th catalecticant of g applied to F, because that
 contraction presents the image algebra A/(0 : g).  The weak and strong
 Lefschetz checks and the snake ledger all read their ranks off it; one
 seeded trial loop serves both Lefschetz checks.  The ledger's one other
-rank, on C = A/(g), is pinned by these h-vectors in every degree where
-ell or g maps onto [A]_{i+1} or annihilates F, and is eliminated only
-elsewhere.  Powers of a linear form
-are never expanded: ell^k o F = ell o (ell^{k-1} o F), so the forms
-ell^k o F for k = 1..d are a chain of d contractions by ell.  Genericity
-of ell is handled Monte-Carlo style over a big prime field: one successful
-sample is a certificate that the property holds (maximal rank is an open
-condition), while uniform failure across seeded trials is reported as
-failure together with the data needed to re-run the experiment.
+rank, on C = A/(g), is pinned by these h-vectors in every degree where ell
+or g maps onto [A]_{i+1} or annihilates F, and is eliminated only elsewhere.
+Powers of a linear form are never expanded: ell^k o F is ell o (ell^{k-1}
+o F), so the forms ell^k o F for k = 1..d are a chain of d contractions by
+ell.  With ell = sum a_j x_j, ell^k o G = k! G(a) for every form G of
+degree k, so for k = d - 2i the i-th Hessian of F at the point a, times k!,
+is a block of the catalecticant of ell^k o F (Maeno and Watanabe,
+Illinois J. Math. 53, 2009).  Genericity of ell is handled Monte-Carlo
+style over a big prime field: one successful sample is a certificate that
+the property holds (maximal rank is an open condition), while uniform
+failure across seeded trials is reported as failure together with the data
+needed to re-run the experiment.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from math import factorial
 
 from .duality import (
     DualForm,
@@ -36,7 +41,7 @@ from .errors import InternalInconsistencyError
 from .fields import PrimeField
 from .grammar import format_poly
 from .linalg import ExactMatrix
-from .poly import Poly, diff_action, random_linear_form
+from .poly import Poly, monomials_of_degree, random_linear_form
 
 
 class Verdict(str, Enum):
@@ -298,43 +303,51 @@ class HessianMatrix:
 
 
 def hessian(F: DualForm, i: int) -> HessianMatrix:
-    """The i-th Hessian of F over the greedy quotient basis of [A]_i.
+    """The i-th Hessian of F over the greedy quotient basis B_i of [A]_i.
 
     Entry (u, v) is (m_u m_v) applied to F, a form of degree d - 2i in the
-    dual variables.
+    dual variables, or the zero form where m_u m_v annihilates F.
     """
     if not 0 <= 2 * i <= F.degree:
         raise ValueError(f"hessian index {i} outside 0..{F.degree // 2}")
     basis = quotient_basis(F, i)
-    field = F.field
-    size = len(basis)
-    entries: list[list[Poly]] = [[None] * size for _ in range(size)]  # type: ignore
-    for a in range(size):
-        for b in range(a, size):
-            prod = tuple(x + y for x, y in zip(basis[a], basis[b]))
-            value = diff_action(Poly.monomial(F.n, field, prod), F.poly)
-            entries[a][b] = value
-            entries[b][a] = value
-    return HessianMatrix(basis=basis, entries=entries)
+    zero = Poly.zero(F.n, F.field)
+    # held in one list, so contracting by m_v m_u finds the form of m_u m_v
+    images = [[contract(Poly.monomial(F.n, F.field, tuple(x + y for x, y in zip(u, v))), F)
+               for v in basis] for u in basis]
+    return HessianMatrix(basis, [[zero if G is None else G.poly for G in row] for row in images])
 
 
-def _hessian_at(F: DualForm, i: int, point) -> ExactMatrix:
-    """The i-th Hessian of F with every entry evaluated at a point."""
+def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
+    """The i-th Hessian of F at the point a: catalecticant(ell^k o F, i) on B_i x B_i, over k!."""
     if len(point) != F.n:
         raise ValueError(f"point has length {len(point)}, expected {F.n}")
-    H = hessian(F, i)
-    m = [[H.entries[a][b].evaluate(point) for b in range(H.size)] for a in range(H.size)]
-    return ExactMatrix(m, F.field)
+    if not 0 <= 2 * i <= F.degree:
+        raise ValueError(f"hessian index {i} outside 0..{F.degree // 2}")
+    field, k = F.field, F.degree - 2 * i
+    p = field.p if isinstance(field, PrimeField) else None
+    ell = Poly(F.n, field, {e: a % p if p else Fraction(a)
+                            for e, a in zip(monomials_of_degree(F.n, 1), point)})
+    G = _power_chain(F, ell, k)[k] if k == 0 or ell.terms else None
+    picks = list(map(monomials_of_degree(F.n, i).index, quotient_basis(F, i)))
+    if G is None:
+        return ExactMatrix._integral([[0] * len(picks) for _ in picks], 1, field)
+    cat = catalecticant(G, i)
+    rows = [[cat._ints[r][c] for c in picks] for r in picks]
+    if p is None:
+        return ExactMatrix._integral(rows, cat._den * factorial(k), field)
+    inv = pow(factorial(k), -1, p)  # k <= d < p
+    return ExactMatrix._integral([[x * inv % p for x in row] for row in rows], 1, field)
 
 
 def hessian_det_at(F: DualForm, i: int, point) -> object:
-    """Exact determinant of the i-th Hessian evaluated at a point."""
-    return _hessian_at(F, i, point).det()
+    """Exact determinant of the i-th Hessian at a point, its coordinates read mod p over F_p."""
+    return _hessian_block(F, i, point).det()
 
 
 def hessian_rank_at(F: DualForm, i: int, point) -> int:
-    """Exact rank of the i-th Hessian evaluated at a point."""
-    return _hessian_at(F, i, point).rank()
+    """Exact rank of the i-th Hessian at a point, its coordinates read mod p over F_p."""
+    return _hessian_block(F, i, point).rank()
 
 
 # -- snake-lemma ledger -------------------------------------------------------

@@ -196,20 +196,6 @@ class Poly:
             base = base * base
         return Poly.one(self.n, self.field) if result is None else result
 
-    def evaluate(self, point):
-        """Exact evaluation at a point given as a length-n coefficient vector."""
-        if len(point) != self.n:
-            raise ValueError(f"point has length {len(point)}, expected {self.n}")
-        F = self.field
-        total = F.zero
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                for _ in range(e):
-                    v = F.mul(v, x)
-            total = F.add(total, v)
-        return total
-
     def map_to_field(self, field) -> "Poly":
         """Reinterpret rational coefficients in another exact field."""
         if field == self.field:

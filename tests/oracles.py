@@ -4,7 +4,9 @@ Each oracle deliberately takes a different computational route from the
 library path it checks: Hilbert functions, pairing rows and contractions
 via differentiation built out of polynomial arithmetic (not the
 coefficient-times-factorial closed form of the catalecticant, nor the
-index shift of the divided-power basis),
+index shift of the divided-power basis), Hessians with each entry
+differentiated and then evaluated at the point term by term (not read off a
+block of the catalecticant of ell^k o F),
 multiplication ranks via the perfect pairing on quotient bases, snake
 ledger ranks from those and from spans of naive pairing rows,
 coordinate changes by multiplying out linear factors one at a time,
@@ -90,6 +92,31 @@ def contract_by_differentiation(g: Poly, F: DualForm) -> DualForm | None:
     """g applied to F term by term with falling factorials, or None when it vanishes."""
     image = diff_action(g, F.poly)
     return None if image.is_zero() else DualForm(image)
+
+
+def hessian_by_differentiation(F: DualForm, i: int) -> list[list[Poly]]:
+    """Entries (m_u m_v) applied to F over quotient_basis(F, i), one diff_action each."""
+    basis = quotient_basis(F, i)
+    return [[diff_action(Poly.monomial(F.n, F.field, tuple(x + y for x, y in zip(u, v))), F.poly)
+             for v in basis] for u in basis]
+
+
+def hessian_at_by_evaluation(F: DualForm, i: int, point) -> ExactMatrix:
+    """The i-th Hessian with each differentiated entry evaluated term by term at the point."""
+    field = F.field
+    rows = []
+    for row in hessian_by_differentiation(F, i):
+        values = []
+        for entry in row:
+            total = field.zero
+            for exp, c in entry.terms.items():
+                for x, e in zip(point, exp):
+                    for _ in range(e):
+                        c = field.mul(c, x)
+                total = field.add(total, c)
+            values.append(total)
+        rows.append(values)
+    return ExactMatrix(rows, field)
 
 
 def hf_by_kernels(F: DualForm) -> tuple[int, ...]:

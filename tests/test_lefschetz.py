@@ -34,7 +34,13 @@ from apolar import (
 )
 from apolar.lefschetz import _power_chain
 from apolar.poly import Poly
-from oracles import mult_rank_by_pairing, random_form, snake_ranks_naive
+from oracles import (
+    hessian_at_by_evaluation,
+    hessian_by_differentiation,
+    mult_rank_by_pairing,
+    random_form,
+    snake_ranks_naive,
+)
 
 FP = GF()
 
@@ -267,6 +273,65 @@ class TestHessian:
             for i in range(d // 2 + 1):
                 expected = mult_map_rank(F, ell, i, d - 2 * i)
                 assert hessian_rank_at(F, i, point) == expected
+
+
+@st.composite
+def hessian_inputs(draw):
+    """F, an index 0 <= i <= d/2 and a point, over QQ, GF(7) or the default prime.
+
+    QQ coefficients are non-integral fractions, so the form's record keeps a
+    denominator, and QQ points may hold fractions; prime-field points hold
+    ints that may be negative or past p.  n <= 4, d <= 6, and about one
+    point in ten is zero.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+        coord = st.integers(-20, 20) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    else:
+        coeff = st.integers(1, field.p - 1)
+        coord = st.integers(-20, 20) | st.integers(-2 * field.p, 2 * field.p)
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)), min_size=1, max_size=10,
+                         unique=True))
+    F = DualForm(Poly(n, field, {m: draw(coeff) for m in mons}))
+    i = draw(st.integers(0, d // 2))
+    zero = draw(st.integers(0, 9)) == 9
+    point = [0] * n if zero else draw(st.lists(coord, min_size=n, max_size=n))
+    return F, i, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(hessian_inputs())
+# a zero point with k = 1, and a nonzero one whose ell annihilates F
+@example((DF("X1^3 + 1/2*X1*X2^2", 2), 1, [0, 0]))
+@example((DF("X1^3", 2, GF(7)), 1, [0, 5]))
+# k = 0: the middle catalecticant itself, whatever the point
+@example((DF("X1^2*X2^2 + 1/3*X2^4 - X1^4", 2), 2, [3, -1]))
+@example((DF("X1^2*X2^2 + 1/3*X2^4 - X1^4", 2), 2, [0, 0]))
+# negative and out-of-range coordinates over GF(7)
+@example((DF("X1^2*X2 + 3*X2^3 + X1*X3^2", 3, GF(7)), 1, [-1, -8, 12]))
+# one variable, a fractional point
+@example((DF("2/3*X1^5", 1), 1, [Fraction(-3, 2)]))
+@example((DF("X1^4", 1, GF(7)), 1, [-3]))
+def test_hessian_at_a_point_equals_its_evaluated_entries(case):
+    F, i, point = case
+    want = hessian_at_by_evaluation(F, i, point)
+    assert hessian_rank_at(F, i, point) == want.rank()
+    assert hessian_det_at(F, i, point) == want.det()
+    assert hessian(F, i).entries == hessian_by_differentiation(F, i)
+
+
+@pytest.mark.parametrize("at", [hessian_rank_at, hessian_det_at])
+def test_hessian_at_rejects_bad_points_and_indices(at):
+    F = DF("X1^2*X2", 2)
+    for point in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match=f"point has length {len(point)}, expected 2"):
+            at(F, 1, point)
+    for i in (2, -1):
+        with pytest.raises(ValueError, match=rf"hessian index {i} outside 0\.\.1"):
+            at(F, i, [1, 1])
 
 
 # -- the displayed parametric matrices ----------------------------------------
