@@ -142,23 +142,25 @@ class DualForm:
 
 
 class _Record:
-    """Scaled coefficients, their denominator, code base, h-vector once ranked, live contractions.
+    """Scaled coefficients, denominator, code base, h-vector and bases once found, contractions.
 
     `scaled` holds F's coefficients times e!, keyed by `_code(e, base)`, as
     plain ints: over F_p the residues, with `den` = 1; over QQ the numerators
     over one common denominator `den`, so the coefficient at e is
     scaled[code] / (den e!).  A contraction keeps its parent's base, so codes
-    stay additive down a chain of contractions; `images` maps an operator's
-    terms to its contraction of F while that form is alive.
+    stay additive down a chain of contractions; `bases` maps a degree i to
+    `quotient_basis(F, i)` once computed; `images` maps an operator's terms to
+    its contraction of F while that form is alive.
     """
 
-    __slots__ = ("scaled", "den", "base", "h", "images")
+    __slots__ = ("scaled", "den", "base", "h", "bases", "images")
 
     def __init__(self, scaled: dict, den: int, base: int):
         self.scaled = scaled
         self.den = den
         self.base = base
         self.h: HVector | None = None
+        self.bases: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.images = weakref.WeakValueDictionary()
 
 
@@ -296,13 +298,17 @@ def quotient_basis(F: DualForm, i: int) -> list[tuple[int, ...]]:
     Greedy in descending graded-lex order: a monomial is kept exactly when
     its catalecticant row is independent of the rows before it, so the
     result is the row rank profile, the pivot columns of the transpose,
-    which is the (d-i)-th catalecticant.
+    which is the (d-i)-th catalecticant.  The basis is kept in the form's
+    record, so a form reduces each catalecticant for it once.
     """
     d = F.degree
     if not 0 <= i <= d:
         raise ValueError(f"degree {i} outside 0..{d}")
-    mons = monomials_of_degree(F.n, i)
-    return [mons[j] for j in catalecticant(F, d - i).pivot_columns()]
+    bases = _record(F).bases
+    if i not in bases:
+        mons = monomials_of_degree(F.n, i)
+        bases[i] = tuple(mons[j] for j in catalecticant(F, d - i).pivot_columns())
+    return list(bases[i])
 
 
 def contract(g: Poly, F: DualForm) -> DualForm | None:

@@ -11,13 +11,19 @@ are dropped, repeatedly, together with the zero rows and columns.  Only the
 rows and columns left reach the elimination:
 
 - over F_p, `_eliminate_mod` runs Gaussian elimination on packed rows:
-  each row is one Python int with a slot of w bits per column, where
-  w >= 2 bits(p) + bits(min(rows, cols)) + 1, rounded up to whole bytes.
-  A row update is one big-int multiply-add with no per-entry loop; the
-  slots are reduced mod p only when a row becomes a pivot row (delayed
-  modular reduction, after Dumas, Giorgi and Pernet, "Dense linear algebra
-  over word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS
-  35(3), 2008);
+  each row is one Python int with a slot of W bits per column, where
+  W >= 2 bits(p) + bits(min(rows, cols)) + 1, rounded up to whole bytes
+  (one cached `struct.Struct` call packs a row when p < 2^64).  A row
+  update is one big-int multiply-add with no per-entry loop, and no slot
+  is ever reduced on its own (delayed modular reduction, after Dumas,
+  Giorgi and Pernet, "Dense linear algebra over word-size prime fields:
+  the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  When a row
+  becomes a pivot row, all its slots are folded at once by two rounds of
+  Montgomery's reduction without trial division (Math. Comp. 44, 1985),
+  to slots in [0, p] congruent to lambda times its entries, lambda =
+  2^-W mod p; the factor each row below is updated by absorbs lambda, and
+  the reduced echelon form is built from folded rows the same way.  Over
+  GF(2) the fold keeps each slot's low bit, and lambda = 1;
 - over QQ, `_eliminate_int` runs fraction-free Bareiss elimination (Bareiss
   1968) on integer rows: a matrix built by `_integral` (every catalecticant)
   holds integer rows over one denominator already, and any other has each
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import lcm, prod
 
@@ -163,10 +170,12 @@ class ExactMatrix:
 
 
 #: Cells left after `_peel` from which `rank` over QQ tries the shadow.
-#: Measured on the exactness workload's QQ ranks: below about 400 cells
-#: Bareiss beats the packed elimination mod p even on full-rank rows, and
-#: below 512 the deficient rows, which pay for both eliminations, lose
-#: again what the shadow saves on the full-rank ones.
+#: Timed on the exactness workload's QQ ranks, each both ways: with the
+#: folding elimination the shadow breaks even with Bareiss on full-rank rows
+#: of 64 to 128 cells, but a deficient matrix pays for both eliminations.  A
+#: cutoff of 128 cut the summed rank time by 4%, yet end to end it gained
+#: nothing that runs of the workload could resolve and raised its peak
+#: memory by 0.4 MB, so the cutoff stays at 512.
 _SHADOW_CELLS = 512
 
 
@@ -325,99 +334,146 @@ def _eliminate_mod(m, p: int, reduced: bool):
     """Gaussian elimination mod p on packed rows: (pivot columns, det, rows).
 
     The rows hold entries in [0, p), and neither a row nor a column is all
-    zero.  Each row becomes one int with a `size`-byte slot per column,
-    column 0 in the highest slot, so a row's top nonzero slot is its leading
-    column; the rows wait in `leading` under that column.  At column c, the
-    pivot row is unpacked once, scaled to a leading 1, and its entries right
-    of c are packed again as their negatives mod p, `negtail`.  Every other
-    row led by c is then updated by one multiply-add, row += f * negtail,
-    with f its slot at c mod p, and that slot is cleared exactly.  Slots
-    start below p and gain less than p^2 per pivot, so with
-    2 bits(p) + bits(min(rows, cols)) + 1 bits they never carry into each
-    other, and no slot ever borrows.  Only the pivot column is read, by
-    shift and `% p`.
+    zero.  Each row becomes one int with a `size`-byte slot of W = 8 size
+    bits per column, column 0 in the highest slot, so a row's top nonzero
+    slot is its leading column; the rows wait in `leading` under that
+    column.  No slot is ever reduced on its own.  At column c the pivot row,
+    with slot `lead` there, is folded: all its slots at once go to [0, p],
+    each congruent to lambda times its value, lambda = 2^-W mod p.  Every
+    other row led by c, with slot t there, is updated by one multiply-add,
+    row += (t g mod p) * folded with g = -lead^-1 / lambda mod p, which
+    absorbs lambda, and its slot at c, now a multiple of p below 2^W, is
+    cleared by a mask.  Only the pivot column is read, by shift and `% p`.
+
+    Slots start below p and gain at most (p - 1) p per pivot, so with
+    W >= 2 bits(p) + bits(min(rows, cols)) + 1 they stay below 2^(W - 1):
+    they never carry into each other, and no slot ever borrows.  The fold
+    is two rounds of Montgomery's reduction without trial division
+    ("Modular multiplication without trial division", Math. Comp. 44,
+    1985), run on every slot at once.  With s = W / 2, LO holding 2^s - 1
+    in every slot and P' = -p^-1 mod 2^s, one round is
+
+        x = (x + ((x & LO) * P' & LO) * p) >> s,
+
+    and for every slot v, with lo its low half and q = lo P' mod 2^s:
+    - lo P' < 2^W, so no carry crosses a slot;
+    - v + q p < 2^(W - 1) + 2^(s + bits(p)) <= 2^W, as bits(p) < s, and
+      2^s divides it, so the shift divides every slot exactly;
+    - the first round leaves every slot below 2^(s - 1) + p < 2^s and the
+      second at most p, so an update by a folded row still adds less than
+      p^2 to a slot.
+    GF(2) has no inverse of p mod 2^s: there the fold keeps the low bit of
+    every slot, and lambda = 1.  Rows are packed and unpacked by `_slots`.
 
     `det` is the product of the pivots times the sign of the order in which
     the rows became pivot rows: the determinant when the pivots fill the
-    rows of a square matrix.  With `reduced`, each pivot row is kept scaled,
-    back substitution clears the entries above every pivot, and `rows` is
-    the reduced row echelon form without its zero rows, unpacked once at the
-    end; otherwise `rows` is empty.
+    rows of a square matrix.  With `reduced`, each folded pivot row is kept
+    with a = -g / lambda mod p, and back substitution, last pivot first,
+    builds every reduced row packed: a times its folded echelon row, plus
+    one multiply-add per later pivot by that pivot's reduced row, folded
+    once more to slots in [0, p] congruent to the reduced row itself.  The
+    sum has at most min(rows, cols) terms, each below p^2 per slot, so it
+    too stays below 2^(W - 1).  `rows` is the reduced row echelon form without its zero rows, each row
+    unpacked once at the end; otherwise `rows` is empty.
     """
     n = len(m[0]) if m else 0
     size = (2 * p.bit_length() + min(len(m), n).bit_length() + 8) // 8
     width = 8 * size
+    pack, unpack, fold, unit = _slots(p, size, n)
     # leading[c]: (index, packed row) for the rows whose top nonzero slot is column c
     leading = [[] for _ in range(n)]
     for i, row in enumerate(m):
-        x = _pack(row, size, n)
+        x = pack(row)
         leading[n - 1 - (x.bit_length() - 1) // width].append((i, x))
-    pivots, pivot_rows, tails = [], [], []
+    pivots, pivot_rows, echelon = [], [], []
     det = 1
     for c in range(n):
         bucket = leading[c]
         if not bucket:
             continue
         shift = (n - 1 - c) * width
-        negtail = 0
+        folded = g = 0
         for k, (i, x) in enumerate(bucket):
-            if (x >> shift) % p:
+            lead = (x >> shift) % p
+            if lead:
+                del bucket[k]
+                det = det * lead % p
+                pivots.append(c)
+                pivot_rows.append(i)
+                if bucket or reduced:
+                    folded, g = fold(x), -unit * pow(lead, -1, p) % p
+                    if reduced:
+                        echelon.append((folded, -g * unit % p))
                 break
-        else:
-            i = None
-        if i is not None:
-            del bucket[k]
-            det = det * (x >> shift) % p
-            pivots.append(c)
-            pivot_rows.append(i)
-            if bucket or reduced:
-                tail = _unpack(x, size, n - c)
-                ninv = -pow(tail[0], -1, p)
-                neg = [y * ninv % p for y in tail[1:]]
-                negtail = _pack(neg, size, n - c - 1)
-                if reduced:
-                    tails.append([1] + [-y % p for y in neg])
+        mask = (1 << shift) - 1
         for i, x in bucket:
-            s = x >> shift
-            x += s % p * negtail - (s << shift)
+            x = (x + (x >> shift) * g % p * folded) & mask
             if x:
                 leading[n - 1 - (x.bit_length() - 1) // width].append((i, x))
     if len(pivots) == len(m) == n:
         det *= _sign(pivot_rows)
     rows = []
     if reduced:
-        # back substitution, last pivot first: each echelon row minus its entry
-        # at every later pivot times that reduced row, kept negated and packed;
-        # a tail runs from its pivot to its last nonzero slot
+        # back substitution, last pivot first; `later` holds the reduced rows
+        # of the pivots after c, packed
         later = []
-        for c, tail in zip(reversed(pivots), reversed(tails)):
-            acc = 0
-            for pc, negrow in reversed(later):
-                if pc - c >= len(tail):
-                    break
-                acc += tail[pc - c] * negrow
-            if acc:
-                acc += _pack(tail, size, n - c)
-                tail = [y % p for y in _unpack(acc, size, n - c)]
-            later.append((c, _pack([-y % p for y in tail], size, n - c)))
-            rows.append([0] * c + tail + [0] * (n - c - len(tail)))
-        rows.reverse()
+        for c, (x, a) in zip(reversed(pivots), reversed(echelon)):
+            acc = a * x
+            coefficients = unpack(x)
+            for pc, y in later:
+                b = -a * coefficients[pc] % p
+                if b:
+                    acc += b * y
+            later.append((c, fold(acc)))
+        rows = [[y % p for y in unpack(x)] for _, x in reversed(later)]
     return pivots, det % p, rows
 
 
-def _pack(values, size: int, slots: int) -> int:
-    """Non-negative ints below 2^(8 size) as the highest of `slots` slots of `size` bytes."""
-    zero = bytes(size)
-    data = [x.to_bytes(size, "big") if x else zero for x in values]
-    return int.from_bytes(b"".join(data), "big") << (slots - len(data)) * 8 * size
+@lru_cache(maxsize=256)
+def _slots(p: int, size: int, n: int):
+    """(pack, unpack, fold, unit) for rows of n slots of `size` bytes mod p.
 
+    `pack` turns a row of ints in [0, p) into one int, column 0 in the
+    highest slot; `unpack` reads the n slots of a packed int back.  When
+    p < 2^64 each is one call of a cached `struct.Struct`: per slot, pad
+    bytes and then the widest of B, H, I and Q that fits in the slot, which
+    holds every value up to p.  A larger prime packs with one `to_bytes` per entry and unpacks with
+    one `int.from_bytes` per slot.  `fold` is the two Montgomery rounds of
+    `_eliminate_mod`, or over GF(2) the low bit of every slot, and `unit`
+    is lambda^-1: 2^W mod p, or 1 over GF(2).
+    """
+    width = 8 * size
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+    if p < 1 << 64:
+        k = 1 << min(size.bit_length() - 1, 3)
+        codec = struct.Struct(">" + f"{size - k}x{'BHIQ'[k.bit_length() - 1]}" * n)
 
-def _unpack(packed: int, size: int, slots: int) -> list[int]:
-    """The slots of a nonzero packed int of `slots` slots, down to its lowest nonzero one."""
-    low = ((packed & -packed).bit_length() - 1) // (8 * size)
-    slots -= low
-    data = (packed >> low * 8 * size).to_bytes(slots * size, "big")
-    return list(map(int.from_bytes, struct.unpack(f"{size}s" * slots, data), repeat("big")))
+        def pack(row):
+            return int.from_bytes(codec.pack(*row), "big")
+
+        def unpack(x):
+            return codec.unpack(x.to_bytes(size * n, "big"))
+    else:
+        zero = bytes(size)
+        slot = struct.Struct(f"{size}s" * n)
+
+        def pack(row):
+            return int.from_bytes(b"".join([x.to_bytes(size, "big") if x else zero for x in row]),
+                                  "big")
+
+        def unpack(x):
+            return [int.from_bytes(y, "big") for y in slot.unpack(x.to_bytes(size * n, "big"))]
+    if p == 2:
+        return pack, unpack, ones.__and__, 1
+    half = width // 2
+    lo = ones * ((1 << half) - 1)
+    inv = pow(-p, -1, 1 << half)
+
+    def fold(x):
+        x = (x + ((x & lo) * inv & lo) * p) >> half
+        return (x + ((x & lo) * inv & lo) * p) >> half
+
+    return pack, unpack, fold, pow(2, width, p)
 
 
 def _eliminate_int(m: list[list[int]], reduced: bool):

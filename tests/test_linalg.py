@@ -17,7 +17,7 @@ from apolar import (
     monomials_of_degree,
     parse_poly,
 )
-from apolar import linalg
+from apolar import fields, linalg
 from oracles import column_rank_profile, leibniz_det
 
 FP = GF()
@@ -260,8 +260,18 @@ STRESS_KINDS = ["square", "tall", "wide", "tall low rank", "wide low rank", "all
                 "zero rows and columns", "largest growth", "singleton cascade"]
 
 
+def _largest_prime_below(bound: int) -> int:
+    q = bound - 1 - bound % 2
+    while not fields._is_prime(q):
+        q -= 2
+    return q
+
+
+# 2^64 + 13 is packed with `to_bytes` and folded wider than 64 bits; the
+# 82-bit prime is the largest that GF accepts
 @pytest.mark.parametrize("kind", STRESS_KINDS)
-@pytest.mark.parametrize("p", [2, 3, 101, FP.p])
+@pytest.mark.parametrize("p", [2, 3, 101, FP.p, 2**64 + 13,
+                               _largest_prime_below(fields._PRIMALITY_BOUND)])
 def test_packed_elimination_on_large_matrices(kind, p):
     rng = random.Random(f"{kind}:{p}")
     entries = _stress_matrix(kind, p, rng)
@@ -293,6 +303,56 @@ def test_packed_elimination_on_large_matrices(kind, p):
     product = [[-sum(entries[i][k] * v[k] for k in range(n)) % p for v in kernel]
                for i in range(n)]
     assert product == unit
+
+
+#: The largest prime below 2^62: with min(rows, cols) in 4..7 the slot width
+#: 2 bits(p) + bits(min(rows, cols)) + 1 is 128 bits, whole bytes, so the
+#: packed rows have no spare bit.
+TOP_OF_BRACKET = 2**62 - 57
+
+
+@st.composite
+def bracket_top_matrices(draw):
+    """Matrices over GF(TOP_OF_BRACKET) with min(rows, cols) in 4..7 and no zero entry.
+
+    Entries are often p - 1, the largest slot growth there is; half the
+    matrices are products of a lower rank.  No entry is zero, so nothing is
+    peeled and the elimination sees the whole matrix.
+    """
+    p = TOP_OF_BRACKET
+    entry = st.one_of(st.just(p - 1), st.integers(1, p - 1))
+    rows, cols = draw(st.integers(4, 7)), draw(st.integers(4, 12))
+    if draw(st.booleans()):
+        rows, cols = cols, rows
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        return block(rows, cols)
+    r = draw(st.integers(1, min(rows, cols) - 1))
+    a, b = block(rows, r), block(r, cols)
+    return [[sum(a[i][k] * b[k][j] for k in range(r)) % p for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_top_matrices())
+def test_packed_elimination_at_the_top_of_a_slot_width(entries):
+    p = TOP_OF_BRACKET
+    assume(all(all(row) for row in entries))
+    rows, cols = len(entries), len(entries[0])
+    assert (2 * p.bit_length() + min(rows, cols).bit_length() + 1) % 8 == 0
+    m = ExactMatrix(entries, GF(p))
+    pivots = m.pivot_columns()
+    assert pivots == column_rank_profile(entries, p)
+    assert m.rank() == len(pivots)
+    free = [c for c in range(cols) if c not in pivots]
+    kernel = m.kernel_basis()
+    assert len(kernel) == len(free)
+    for fc, v in zip(free, kernel):
+        assert [sum(a * x for a, x in zip(row, v)) % p for row in entries] == [0] * rows
+        assert [v[c] for c in free] == [int(c == fc) for c in free]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
