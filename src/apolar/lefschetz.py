@@ -326,8 +326,14 @@ def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
         raise ValueError(f"hessian index {i} outside 0..{F.degree // 2}")
     field, k = F.field, F.degree - 2 * i
     p = field.p if isinstance(field, PrimeField) else None
-    ell = Poly(F.n, field, {e: a % p if p else Fraction(a)
-                            for e, a in zip(monomials_of_degree(F.n, 1), point)})
+    coordinates = []
+    for a in point:
+        if not isinstance(a, (int, Fraction)):
+            raise ValueError(f"coordinate {a!r} is neither an int nor a Fraction")
+        if p and a.denominator % p == 0:
+            raise ValueError(f"coordinate {a} has a denominator that vanishes mod {p}")
+        coordinates.append(field.from_fraction(a.numerator, a.denominator))
+    ell = Poly(F.n, field, dict(zip(monomials_of_degree(F.n, 1), coordinates)))
     G = _power_chain(F, ell, k)[k] if k == 0 or ell.terms else None
     picks = list(map(monomials_of_degree(F.n, i).index, quotient_basis(F, i)))
     if G is None:

@@ -1,9 +1,11 @@
 """Dense exact matrices and the one row reduction per field that serves them.
 
 Rank, determinant, pivot columns and kernel are all read off a single
-row-reduction routine for each field family.  Both families first
-normalise the rows (mod p, or cleared of denominators) and pass them through
-one pre-pass, `_peel`, the first step of structured Gaussian elimination
+row-reduction routine for each field family.  A matrix holds integer rows
+over one positive denominator from the moment it is built: over F_p the
+residues in [0, p) over 1, over QQ the numerators over the lcm of all the
+entries' denominators.  Both families pass the rows through one pre-pass,
+`_peel`, the first step of structured Gaussian elimination
 (LaMacchia and Odlyzko, "Solving large sparse linear systems over finite
 fields", CRYPTO 1990): a row with a single nonzero, at column c, makes c a
 pivot column whose reduced row is the unit row e_c, so that row and column c
@@ -25,11 +27,11 @@ rows and columns left reach the elimination:
   the reduced echelon form is built from folded rows the same way.  Over
   GF(2) the fold keeps each slot's low bit, and lambda = 1;
 - over QQ, `_eliminate_int` runs fraction-free Bareiss elimination (Bareiss
-  1968) on integer rows: a matrix built by `_integral` (every catalecticant)
-  holds integer rows over one denominator already, and any other has each
-  row cleared of its denominators.  Its reduced variant is fraction-free
-  Gauss-Jordan elimination: every pivot ends equal to the last one, D, and
-  the reduced row echelon form is the integer matrix over D.
+  1968) on a copy of the integer rows; the denominator scales every row
+  alike, so it enters only the determinant, as den^rows.  Its reduced
+  variant is fraction-free Gauss-Jordan elimination: every pivot ends equal
+  to the last one, D, and the reduced row echelon form is the integer
+  matrix over D, which the kernel reads without making a Fraction row.
 
 `rank` over QQ first tries a mod-p shadow when the rows left after the peel
 hold at least `_SHADOW_CELLS` cells: they are reduced mod DEFAULT_PRIME and
@@ -58,40 +60,52 @@ from .fields import DEFAULT_PRIME, QQ, PrimeField
 
 
 class ExactMatrix:
-    """Rectangular matrix with all entries in one exact field."""
+    """Rectangular matrix over one exact field, held as integer rows over one denominator."""
 
     def __init__(self, entries, field):
-        self._entries = [list(row) for row in entries]
-        self._ints, self._den = None, 1
-        self.rows = len(self._entries)
-        self.cols = len(self._entries[0]) if self.rows else 0
-        for row in self._entries:
-            if len(row) != self.cols:
+        rows = [list(row) for row in entries]
+        cols = len(rows[0]) if rows else 0
+        for row in rows:
+            if len(row) != cols:
                 raise ValueError("ragged rows")
-        self.field = field
+        if isinstance(field, PrimeField):
+            den = 1
+            if _out_of_range(rows, field.p):
+                rows = [[x % field.p for x in row] for row in rows]
+        else:
+            # `QQ.zero`, which every matrix builder here writes for a zero,
+            # is passed over by identity, so a sparse row reads few Fractions
+            zero = QQ.zero
+            den = lcm(*{x.denominator for row in rows for x in row if x is not zero})
+            rows = [[0 if x is zero else x.numerator * (den // x.denominator) for x in row]
+                    for row in rows]
+        self._hold(rows, den, field)
 
     @classmethod
     def _integral(cls, ints: list[list[int]], den: int, field) -> ExactMatrix:
         """The matrix ints / den, from rows of one width that are normalised already.
 
         Over F_p the rows hold residues in [0, p) and `den` is 1; over QQ they
-        are integer numerators over the positive `den`, and the Fraction
-        entries are made only when `entries` is read.  The rows are kept, not
-        copied, and never changed.
+        are integer numerators over the positive `den`.  The rows are kept,
+        not copied, and never changed.
         """
         m = object.__new__(cls)
-        m._ints, m._den, m.field = ints, den, field
-        m._entries = ints if isinstance(field, PrimeField) else None
-        m.rows = len(ints)
-        m.cols = len(ints[0]) if ints else 0
+        m._hold(ints, den, field)
         return m
+
+    def _hold(self, ints: list[list[int]], den: int, field) -> None:
+        self._ints, self._den, self.field = ints, den, field
+        # over QQ the Fraction entries are made only when `entries` is read
+        self._entries = ints if isinstance(field, PrimeField) else None
+        self.rows = len(ints)
+        self.cols = len(ints[0]) if ints else 0
 
     @classmethod
     def _stacked(cls, blocks: list[ExactMatrix]) -> ExactMatrix:
-        """The rows of integral `blocks`, of one width and one field, in order.
+        """The rows of `blocks`, of one width and one field, in order.
 
-        The result is integral over the lcm of their denominators: a block is
-        scaled, one multiply per entry, only where its denominator differs.
+        The result is over the lcm of their denominators: a block is scaled,
+        one multiply per entry, only where its denominator differs.
         """
         den = lcm(*(b._den for b in blocks))
         rows = []
@@ -102,7 +116,7 @@ class ExactMatrix:
 
     @property
     def entries(self) -> list[list]:
-        """The rows as field elements; an integral QQ matrix makes its Fractions on first read."""
+        """The rows as field elements; a QQ matrix makes its Fractions on first read."""
         if self._entries is None:
             den, zero = self._den, QQ.zero
             self._entries = [[Fraction(x, den) if x else zero for x in row] for row in self._ints]
@@ -124,7 +138,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """The rank; over QQ through the mod-p shadow of the module docstring when it pays."""
-        _, peeled, _, keep, sub = _prepared(self)
+        peeled, _, keep, sub = _prepared(self)
         if isinstance(self.field, PrimeField):
             return len(peeled) + len(_eliminate_mod(sub, self.field.p, False)[0])
         if len(sub) * len(keep) >= _SHADOW_CELLS and _full_rank_mod(sub, len(keep)):
@@ -134,24 +148,22 @@ class ExactMatrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, det, _ = _echelon(self, False)
+        pivots, det, *_ = _echelon(self, False)
         if len(pivots) < self.rows:
             return self.field.zero
-        if isinstance(self.field, PrimeField):
-            return det
-        # over QQ, the determinant of the integer rows over their scales
-        if self._ints is not None:
-            return Fraction(det, self._den ** self.rows)
-        return Fraction(det, prod(_row_lcm(row) for row in self._entries))
+        return det if isinstance(self.field, PrimeField) else Fraction(det, self._den ** self.rows)
 
     def kernel_basis(self) -> list[list]:
         """Basis of the right kernel {v : M v = 0}, read off the reduced echelon form.
 
-        One vector per free column: 1 there, 0 at the other free columns.  A
-        peeled pivot column keeps its 0, since its reduced row is a unit row.
+        One vector per free column f: 1 there, 0 at the other free columns,
+        and at each pivot column minus the entry x at f of its reduced row,
+        -x mod p or -x / scale.  A peeled pivot column keeps its 0.
         """
         F = self.field
-        pivots, _, rows = _echelon(self, True)
+        p = F.p if isinstance(F, PrimeField) else None
+        pivots, _, keep, rows, scale = _echelon(self, True)
+        position = {c: j for j, c in enumerate(keep)}
         pivot_set = set(pivots)
         basis = []
         for fc in range(self.cols):
@@ -159,8 +171,12 @@ class ExactMatrix:
                 continue
             v = [F.zero] * self.cols
             v[fc] = F.one
-            for pc, row in rows:
-                v[pc] = F.neg(row[fc])
+            j = position.get(fc)
+            if j is not None:  # else fc is a zero column
+                for pc, row in rows:
+                    x = row[j]
+                    if x:
+                        v[pc] = -x % p if p else Fraction(-x, scale)
             basis.append(v)
         return basis
 
@@ -180,32 +196,20 @@ _SHADOW_CELLS = 512
 
 
 def _prepared(matrix: ExactMatrix):
-    """The normalised rows of `matrix` and its peel: (rows, peeled, rest, keep, sub).
+    """The peel of `matrix`'s integer rows: (peeled, rest, keep, sub).
 
-    The rows are reduced mod p over F_p, and over QQ scaled to integers: an
-    integral matrix gives its rows as they are, any other has each row
-    scaled by the lcm of its denominators, so the row space is unchanged.
-    `_peel` then takes out the singleton rows; `keep` lists the columns left
-    and `sub` holds the rows `rest` on them.  When nothing was taken out,
-    `sub` is the rows themselves, or over QQ a copy of an integral matrix's
-    rows, which Bareiss elimination would change in place.
+    `_peel` takes out the singleton rows; `keep` lists the columns left and
+    `sub` holds the rows `rest` on them.  When nothing was taken out, `sub`
+    is the rows themselves over F_p and a copy of them over QQ, which
+    Bareiss elimination changes in place.
     """
-    field, cols = matrix.field, matrix.cols
-    prime = isinstance(field, PrimeField)
-    if matrix._ints is not None:
-        m = matrix._ints
-    elif not prime:
-        m = [_cleared(row) for row in matrix._entries]
-    elif _out_of_range(matrix._entries, field.p):
-        m = [[x % field.p for x in row] for row in matrix._entries]
-    else:
-        m = matrix._entries
+    m, cols = matrix._ints, matrix.cols
     peeled, rest, kept = _peel(m, cols)
     if len(rest) == len(m) and all(kept):
-        sub = [row[:] for row in m] if m is matrix._ints and not prime else m
-        return m, peeled, rest, range(cols), sub
+        sub = m if isinstance(matrix.field, PrimeField) else [row[:] for row in m]
+        return peeled, rest, range(cols), sub
     sub = [list(compress(m[i], kept)) for i in rest]
-    return m, peeled, rest, list(compress(range(cols), kept)), sub
+    return peeled, rest, list(compress(range(cols), kept)), sub
 
 
 def _full_rank_mod(sub, cols: int) -> bool:
@@ -217,44 +221,41 @@ def _full_rank_mod(sub, cols: int) -> bool:
 
 
 def _echelon(matrix: ExactMatrix, reduced: bool):
-    """Row-reduce `matrix`: (pivot columns, det, reduced rows).
+    """Row-reduce `matrix`: (pivot columns, det, keep, rows, scale).
 
-    `_prepared` normalises and peels the rows, and the field's elimination
-    reduces the rows and columns that are left; over QQ `det` is then that
-    of the integer rows.  `det` is the determinant when the pivots fill the
-    rows of a square matrix: the sign of the peel order times the peeled
-    entries times the determinant of the rest.  With `reduced`, `rows` pairs
-    each pivot column the elimination found with its row of the reduced row
-    echelon form, full width, as field elements; a peeled pivot c has the
-    unit row e_c and no entry there.
+    `_prepared` peels the integer rows, and the field's elimination reduces
+    the rows and the columns `keep` that are left.  `det` is the determinant
+    of the integer rows when the pivots fill the rows of a square matrix:
+    the sign of the peel order times the peeled entries times the
+    determinant of the rest.  With `reduced`, `rows` pairs each pivot column
+    the elimination found with its row of the reduced row echelon form on
+    the columns `keep`, times `scale`: residues in [0, p) with `scale` 1 over
+    F_p, and over QQ integers with Bareiss's last pivot as `scale`.  A
+    peeled pivot c has the unit row e_c and no entry in `rows`, and every
+    other column outside `keep` is zero.
     """
     field, cols = matrix.field, matrix.cols
     prime = isinstance(field, PrimeField)
-    m, peeled, rest, keep, sub = _prepared(matrix)
-    n = len(keep)
+    peeled, rest, keep, sub = _prepared(matrix)
     if prime:
         found, det, rows = _eliminate_mod(sub, field.p, reduced)
+        scale = 1
     else:
         found, det = _eliminate_int(sub, reduced)
-        last = sub[len(found) - 1][found[-1]] if found else 1
-        rows = [[Fraction(x, last) for x in row] for row in sub[:len(found)]] if reduced else []
-    if n < cols:
+        rows = sub[:len(found)] if reduced else []
+        scale = rows[-1][found[-1]] if rows else 1
+    if len(keep) < cols:
         found = [keep[c] for c in found]
-        zero = field.zero
-        for k, row in enumerate(rows):
-            full = [zero] * cols
-            for j, x in zip(keep, row):
-                full[j] = x
-            rows[k] = full
     pivots = found
     if peeled:
         pivots = sorted(found + [c for _, c in peeled])
         if len(pivots) == matrix.rows == cols:
+            m = matrix._ints
             det *= _sign([i for i, _ in peeled] + rest) * _sign([c for _, c in peeled] + keep)
             det *= prod(m[i][c] for i, c in peeled)
             if prime:
                 det %= field.p
-    return pivots, det, list(zip(found, rows))
+    return pivots, det, keep, list(zip(found, rows)), scale
 
 
 def _peel(m, cols: int):
@@ -312,22 +313,6 @@ def _out_of_range(entries, p: int) -> bool:
 def _sign(order) -> int:
     """The sign of a sequence of distinct ints: -1 to the number of its inversions."""
     return (-1) ** sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
-
-
-def _row_lcm(row) -> int:
-    """The lcm of the row's denominators.
-
-    The zero object `QQ.zero`, which every matrix builder here writes for a
-    zero, is passed over by identity, so a sparse row reads few Fractions.
-    """
-    zero = QQ.zero
-    return lcm(*(x.denominator for x in row if x is not zero))
-
-
-def _cleared(row) -> list[int]:
-    """The row scaled by the lcm of its denominators; the row space is unchanged."""
-    scale, zero = _row_lcm(row), QQ.zero
-    return [0 if x is zero else x.numerator * (scale // x.denominator) for x in row]
 
 
 def _eliminate_mod(m, p: int, reduced: bool):

@@ -13,7 +13,9 @@ coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
 expansions via exhaustive search, and pivot columns and determinants of
 plain matrices via textbook Gauss-Jordan elimination and the Leibniz
-formula, the invariants of binary forms over F_p in a random chart:
+formula, a rational row cleared of its own denominators by Fraction
+multiplication (not put over the matrix's one common denominator), the
+invariants of binary forms over F_p in a random chart:
 pencil determinants expanded as two-variable polynomials, and each form
 dehomogenized after a random coordinate change has moved its roots off
 infinity, then split by Yun's squarefree decomposition (not the library's
@@ -35,7 +37,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from apolar import (
     GENERIC_GIN2,
@@ -257,6 +259,12 @@ def column_rank_profile(entries, p: int | None = None) -> list[int]:
                 m[i] = [norm(a - f * b) for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return pivots
+
+
+def cleared_row(row) -> list[int]:
+    """A row of rationals times the lcm of its denominators: integers with the same row space."""
+    scale = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * scale) for x in row]
 
 
 def leibniz_det(entries, p: int | None = None):

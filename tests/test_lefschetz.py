@@ -332,6 +332,14 @@ def test_hessian_at_rejects_bad_points_and_indices(at):
     for i in (2, -1):
         with pytest.raises(ValueError, match=rf"hessian index {i} outside 0\.\.1"):
             at(F, i, [1, 1])
+    # a coordinate is read as a field element: 1/2 is 4 mod 7
+    G = DF("X1^2*X2 + 3*X2^3 + X1*X3^2", 3, GF(7))
+    assert at(G, 1, [Fraction(1, 2), 2, 3]) == at(G, 1, [4, 2, 3])
+    with pytest.raises(ValueError, match=r"coordinate 1/7 has a denominator that vanishes mod 7"):
+        at(G, 1, [Fraction(1, 7), 2, 3])
+    for form, point in ((F, [0.5, 1]), (G, [1, 0.5, 3])):
+        with pytest.raises(ValueError, match=r"coordinate 0\.5 is neither an int nor a Fraction"):
+            at(form, 1, point)
 
 
 # -- the displayed parametric matrices ----------------------------------------

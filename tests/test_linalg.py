@@ -18,7 +18,7 @@ from apolar import (
     parse_poly,
 )
 from apolar import fields, linalg
-from oracles import column_rank_profile, leibniz_det
+from oracles import cleared_row, column_rank_profile, leibniz_det
 
 FP = GF()
 
@@ -92,7 +92,8 @@ def test_bareiss_agrees_with_modular_on_integer_matrices():
 
 def test_det_exact():
     m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]], QQ)
-    assert m.det() == Fraction(1, 10) - Fraction(1, 12)
+    # Bareiss eliminates in place, so a second call sees whether it had a copy
+    assert [m.det(), m.det()] == [Fraction(1, 10) - Fraction(1, 12)] * 2
     mp = ExactMatrix([[3, 1], [4, 2]], GF(101))
     assert mp.det() == 2
 
@@ -130,17 +131,20 @@ def test_unreduced_entries_mean_their_residues(entries, rank, det, pivots, kerne
 def field_matrices(draw, singletons: bool = False):
     """A field and a matrix of up to 7 x 7 over it, often a low-rank product.
 
-    QQ entries are non-integral fractions; F_p entries are raw ints, many of
-    them outside [0, p) and, over GF(7), many vanishing mod p.  Half the
-    entries are zero, so that pivots meet zeros in the rows around them.
-    With `singletons`, some rows are then replaced by rows with one nonzero,
-    each perhaps with a cascade row: two nonzeros, one of them in the
-    singleton's column, so that it becomes a singleton once that is peeled.
+    QQ entries mix plain ints with fractions, and over QQ each row is then
+    divided by a denominator of its own, unrelated to the others'; F_p
+    entries are raw ints, many of them outside [0, p) and, over GF(7), many
+    vanishing mod p.  Half the entries are zero, so that pivots meet zeros
+    in the rows around them.  With `singletons`, some rows are then
+    replaced by rows with one nonzero, each perhaps with a cascade row: two
+    nonzeros, one of them in the singleton's column, so that it becomes a
+    singleton once that is peeled.
     """
     field = draw(st.sampled_from([QQ, GF(7), FP]))
     p = field.p if isinstance(field, PrimeField) else None
     if field == QQ:
-        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+        entry = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9),
+                                                        st.integers(1, 6)))
     elif field == FP:
         entry = st.one_of(st.integers(-20, 20), st.integers(0, FP.p - 1))
     else:
@@ -169,6 +173,10 @@ def field_matrices(draw, singletons: bool = False):
             if k != i and c2 != c and draw(st.booleans()):
                 m[k] = [0] * cols
                 m[k][c], m[k][c2] = draw(nonzero), draw(nonzero)
+    if field == QQ:
+        dens = st.sampled_from([1, 1, 5, 7, 11, 13, 49])
+        m = [[x if d == 1 else Fraction(x) / d for x in row] for row, d in
+             zip(m, (draw(dens) for _ in m))]
     return field, m
 
 
@@ -192,6 +200,7 @@ def test_derived_operations_agree_with_oracles(case):
     for fc, v in zip(free, kernel):
         assert [reduce(sum(a * x for a, x in zip(row, v))) for row in entries] == [0] * m.rows
         assert [v[c] for c in free] == [int(c == fc) for c in free]
+    assert m.entries == [[reduce(x) for x in row] for row in entries]
     if m.rows != m.cols:
         return
     n = m.rows
@@ -408,7 +417,7 @@ def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
     kind, ints, dens = case
     rows, cols = len(ints), len(ints[0])
     entries = [[Fraction(x, d) for x in row] for row, d in zip(ints, dens)]
-    cleared = [linalg._cleared(row) for row in entries]
+    cleared = [cleared_row(row) for row in entries]
     pivots = linalg._eliminate_int([row[:] for row in cleared], False)[0]
     full = min(rows, cols)
     if kind == "lifted":
