@@ -35,13 +35,18 @@ rows and columns left reach the elimination:
 
 `rank` over QQ first tries a mod-p shadow when the rows left after the peel
 hold at least `_SHADOW_CELLS` cells: they are reduced mod DEFAULT_PRIME and
-ranked by `_eliminate_mod`.  A full rank mod p is the rank over QQ, since a
-maximal minor that is nonzero mod p is a nonzero integer; a deficient one
-decides nothing, and Bareiss runs as well.  The rows are integers by then,
-so no denominator can vanish mod p.  Only `rank` reads the shadow: the rank
-profile mod p can differ from the one over QQ, as [[p, 1]] pivots at column
-0 over QQ and at column 1 mod p, so `det`, `pivot_columns` and
-`kernel_basis` always run Bareiss.
+ranked by `_eliminate_mod`.  The rank r mod p bounds the rank over QQ from
+below, since the r x r minor on the pivots mod p is a nonzero integer; so a
+full rank mod p is the rank over QQ.  A deficient one is certified from
+above by the kernel mod p on the side with fewer vectors: each vector is
+lifted to QQ by Wang's rational reconstruction (SYMSAC 1981) and checked
+with an exact integer product, and independent rational kernel vectors of
+that number show the rank is at most r.  Only when a lift or a product fails
+does Bareiss run as well.  The rows are integers by then, so no denominator
+can vanish mod p.  Only `rank` reads the shadow: the rank profile mod p can
+differ from the one over QQ, as [[p, 1]] pivots at column 0 over QQ and at
+column 1 mod p, so `det`, `pivot_columns` and `kernel_basis` always run
+Bareiss.
 
 Matrices are dense lists: the ones at play are desk scale, and the sparse
 ones (ideal and inverse-system rows of a quadric web, catalecticants of
@@ -54,7 +59,8 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from math import lcm, prod
+from math import isqrt, lcm, prod
+from operator import mul
 
 from .fields import DEFAULT_PRIME, QQ, PrimeField
 
@@ -63,6 +69,11 @@ class ExactMatrix:
     """Rectangular matrix over one exact field, held as integer rows over one denominator."""
 
     def __init__(self, entries, field):
+        """The matrix of `entries`: ints over F_p, ints or Fractions over QQ.
+
+        Any other entry raises ValueError naming it and its position; over
+        F_p only the nonzero entries are checked.
+        """
         rows = [list(row) for row in entries]
         cols = len(rows[0]) if rows else 0
         for row in rows:
@@ -70,13 +81,26 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         if isinstance(field, PrimeField):
             den = 1
-            if _out_of_range(rows, field.p):
+            # only the nonzero entries are read: a sum of ints is an int, and
+            # a float or a Fraction among them makes the sum one as well
+            nonzero = list(chain.from_iterable(map(filter, repeat(None), rows)))
+            try:
+                exact = type(sum(nonzero)) is int
+            except TypeError:
+                exact = False
+            if not exact:
+                _check_entries(rows, int, "an int")
+            if min(nonzero, default=0) < 0 or max(nonzero, default=0) >= field.p:
                 rows = [[x % field.p for x in row] for row in rows]
         else:
             # `QQ.zero`, which every matrix builder here writes for a zero,
             # is passed over by identity, so a sparse row reads few Fractions
             zero = QQ.zero
-            den = lcm(*{x.denominator for row in rows for x in row if x is not zero})
+            try:
+                den = lcm(*{x.denominator for row in rows for x in row if x is not zero})
+            except AttributeError:
+                _check_entries(rows, (int, Fraction), "an int or a Fraction")
+                raise
             rows = [[0 if x is zero else x.numerator * (den // x.denominator) for x in row]
                     for row in rows]
         self._hold(rows, den, field)
@@ -137,12 +161,19 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
 
     def rank(self) -> int:
-        """The rank; over QQ through the mod-p shadow of the module docstring when it pays."""
+        """The rank; over QQ certified mod p, as the module docstring says, when it pays.
+
+        A QQ matrix whose rows left after the peel hold at least
+        `_SHADOW_CELLS` cells is ranked by `_certified_rank`, and by Bareiss
+        only when that certifies nothing.
+        """
         peeled, _, keep, sub = _prepared(self)
         if isinstance(self.field, PrimeField):
             return len(peeled) + len(_eliminate_mod(sub, self.field.p, False)[0])
-        if len(sub) * len(keep) >= _SHADOW_CELLS and _full_rank_mod(sub, len(keep)):
-            return len(peeled) + min(len(sub), len(keep))
+        if len(sub) * len(keep) >= _SHADOW_CELLS:
+            rank = _certified_rank(sub, len(keep))
+            if rank is not None:
+                return len(peeled) + rank
         return len(peeled) + len(_eliminate_int(sub, False)[0])
 
     def det(self):
@@ -163,22 +194,7 @@ class ExactMatrix:
         F = self.field
         p = F.p if isinstance(F, PrimeField) else None
         pivots, _, keep, rows, scale = _echelon(self, True)
-        position = {c: j for j, c in enumerate(keep)}
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivot_set:
-                continue
-            v = [F.zero] * self.cols
-            v[fc] = F.one
-            j = position.get(fc)
-            if j is not None:  # else fc is a zero column
-                for pc, row in rows:
-                    x = row[j]
-                    if x:
-                        v[pc] = -x % p if p else Fraction(-x, scale)
-            basis.append(v)
-        return basis
+        return _kernel(self.cols, pivots, keep, rows, F.zero, F.one, p, scale)
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the pivots of the row echelon form."""
@@ -188,10 +204,12 @@ class ExactMatrix:
 #: Cells left after `_peel` from which `rank` over QQ tries the shadow.
 #: Timed on the exactness workload's QQ ranks, each both ways: with the
 #: folding elimination the shadow breaks even with Bareiss on full-rank rows
-#: of 64 to 128 cells, but a deficient matrix pays for both eliminations.  A
-#: cutoff of 128 cut the summed rank time by 4%, yet end to end it gained
-#: nothing that runs of the workload could resolve and raised its peak
-#: memory by 0.4 MB, so the cutoff stays at 512.
+#: of 64 to 128 cells.  A cutoff of 128 cut the summed rank time by 4%, yet
+#: end to end it gained nothing that runs of the workload could resolve and
+#: raised its peak memory by 0.4 MB, so the cutoff stays at 512.  That was
+#: measured while a deficient shadow still ran Bareiss as well; now that
+#: `_certified_rank` certifies it, every one the workload meets at 512 cells
+#: or more (the stacked snake-ledger catalecticants) skips Bareiss.
 _SHADOW_CELLS = 512
 
 
@@ -212,12 +230,111 @@ def _prepared(matrix: ExactMatrix):
     return peeled, rest, list(compress(range(cols), kept)), sub
 
 
-def _full_rank_mod(sub, cols: int) -> bool:
-    """Whether the integer rows, `cols` wide, have rank min(rows, cols) mod DEFAULT_PRIME."""
+def _certified_rank(sub, cols: int) -> int | None:
+    """The rank of the integer rows `sub`, `cols` wide, read mod DEFAULT_PRIME, or None.
+
+    The rank r mod p is a lower bound over QQ: the pivots mod p pick an
+    r x r minor that is nonzero mod p, so a nonzero integer.  When r is
+    short of min(rows, cols), the kernel mod p on the side with fewer
+    vectors bounds it from above: the left kernel when rows <= cols, read
+    off the transpose of the pivot columns (which has the same left kernel
+    mod p as the whole matrix), and otherwise the right kernel.  Each vector
+    of its reduced-echelon basis is lifted by `_lift` and checked with an
+    exact integer product against `sub`.  The lift maps 0 to 0 and a
+    nonzero residue to a nonzero integer, so each lifted vector stays
+    nonzero at its own free column and zero at the others: they are
+    independent, and when every product vanishes the rank over QQ is at
+    most r.  None when a lift or a product fails.
+    """
     p = DEFAULT_PRIME
-    residues = [r for r in ([x % p for x in row] for row in sub) if any(r)]
-    full = min(len(sub), cols)
-    return len(residues) >= full and len(_eliminate_mod(residues, p, False)[0]) == full
+    residues = [[x % p for x in row] for row in sub]
+    nonzero = [row for row in residues if any(row)]
+    pivots = _eliminate_mod(nonzero, p, False)[0]
+    r = len(pivots)
+    if r == min(len(sub), cols):
+        return r
+    left = len(sub) <= cols
+    n = len(sub) if left else cols
+    system = [[row[c] for row in residues] for c in pivots] if left else nonzero
+    found, _, rows = _eliminate_mod(system, p, True)
+    for v in _kernel(n, found, range(n), list(zip(found, rows)), 0, 1, p, 1):
+        y = _lift(v, p)
+        if y is None:
+            return None
+        if left:
+            total = [0] * cols
+            for x, row in zip(y, sub):
+                if x:
+                    total = [t + x * a for t, a in zip(total, row)]
+            if any(total):
+                return None
+        elif any(sum(map(mul, row, y)) for row in sub):
+            return None
+    return r
+
+
+def _kernel(cols: int, pivots, keep, rows, zero, one, p: int | None, scale: int) -> list[list]:
+    """Basis of the right kernel {v : M v = 0} of a `cols`-wide M, read off its reduced rows.
+
+    `pivots` are M's pivot columns and `rows` pairs each pivot column the
+    elimination found with its reduced row on the columns `keep`, times
+    `scale`; a pivot column without an entry in `rows` has the unit row.
+    One vector per free column f: `one` there, `zero` at the other free
+    columns, and at each pivot column minus the entry x at f of its reduced
+    row, -x mod p or, with p None, -x / scale.  A peeled pivot column keeps
+    its `zero`.
+    """
+    position = {c: j for j, c in enumerate(keep)}
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        j = position.get(fc)
+        if j is not None:  # else fc is a zero column
+            for pc, row in rows:
+                x = row[j]
+                if x:
+                    v[pc] = -x % p if p else Fraction(-x, scale)
+        basis.append(v)
+    return basis
+
+
+def _lift(v: list[int], p: int) -> list[int] | None:
+    """Integers y with y = D v mod p for one D prime to p, found entry by entry, or None.
+
+    Each entry is read by Wang's rational reconstruction (SYMSAC 1981): a
+    residue a is n / d with |n| and d at most sqrt(p / 2), found by the
+    half-extended Euclidean algorithm on (p, a).  A running common
+    denominator D comes first: a D mod p is tried as a small signed integer,
+    and only an entry that is not one is reconstructed, its d then joining
+    D and every entry lifted so far.  Every d is below p, so D is prime to
+    p, and 0 lifts to 0 and a nonzero residue to a nonzero integer.  None
+    when an entry has no such n / d.
+    """
+    bound = isqrt(p // 2)
+    den = 1
+    y = []
+    for a in v:
+        if a:
+            a = a * den % p
+            if a > bound:
+                if a >= p - bound:
+                    a -= p
+                else:
+                    r0, r1, t0, t1 = p, a, 0, 1  # r_k = t_k a mod p throughout
+                    while r1 > bound:
+                        q = r0 // r1
+                        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+                    if abs(t1) > bound:
+                        return None
+                    a, d = (r1, t1) if t1 > 0 else (-r1, -t1)
+                    den *= d
+                    y = [x * d for x in y]
+        y.append(a)
+    return y
 
 
 def _echelon(matrix: ExactMatrix, reduced: bool):
@@ -304,10 +421,12 @@ def _peel(m, cols: int):
     return peeled, list(compress(range(len(m)), weights)), kept
 
 
-def _out_of_range(entries, p: int) -> bool:
-    """Whether some entry lies outside [0, p); only the nonzero ones are compared."""
-    nonzero = list(chain.from_iterable(map(filter, repeat(None), entries)))
-    return min(nonzero, default=0) < 0 or max(nonzero, default=0) >= p
+def _check_entries(rows, kinds, what: str) -> None:
+    """Raise ValueError naming the first entry of `rows` that is not one of `kinds`."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not isinstance(x, kinds):
+                raise ValueError(f"matrix entry {x!r} at row {i}, column {j} is not {what}")
 
 
 def _sign(order) -> int:
@@ -318,14 +437,15 @@ def _sign(order) -> int:
 def _eliminate_mod(m, p: int, reduced: bool):
     """Gaussian elimination mod p on packed rows: (pivot columns, det, rows).
 
-    The rows hold entries in [0, p), and neither a row nor a column is all
-    zero.  Each row becomes one int with a `size`-byte slot of W = 8 size
-    bits per column, column 0 in the highest slot, so a row's top nonzero
-    slot is its leading column; the rows wait in `leading` under that
-    column.  No slot is ever reduced on its own.  At column c the pivot row,
-    with slot `lead` there, is folded: all its slots at once go to [0, p],
-    each congruent to lambda times its value, lambda = 2^-W mod p.  Every
-    other row led by c, with slot t there, is updated by one multiply-add,
+    The rows hold entries in [0, p), and no row is all zero; a zero column
+    leads no row and stays free.  Each row becomes one int with a
+    `size`-byte slot of W = 8 size bits per column, column 0 in the highest
+    slot, so a row's top nonzero slot is its leading column; the rows wait
+    in `leading` under that column.  No slot is ever reduced on its own.
+    At column c the pivot row, with slot `lead` there, is folded: all its
+    slots at once go to [0, p], each congruent to lambda times its value,
+    lambda = 2^-W mod p.  Every other row led by c, with slot t there, is
+    updated by one multiply-add,
     row += (t g mod p) * folded with g = -lead^-1 / lambda mod p, which
     absorbs lambda, and its slot at c, now a multiple of p below 2^W, is
     cleared by a mask.  Only the pivot column is read, by shift and `% p`.

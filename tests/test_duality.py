@@ -16,6 +16,7 @@ from apolar import (
     HVector,
     OrbitLabel,
     Poly,
+    Verdict,
     ann_degree,
     catalecticant,
     contract,
@@ -521,6 +522,68 @@ def test_denominators_divisible_by_the_shadow_prime(mixed):
     assert duality._record(B).den % p == 0
     assert tuple(hilbert_function(B)) == hf_by_kernels(B)
     assert B.poly == contract_by_differentiation(ell, F).poly
+
+
+@st.composite
+def integer_forms(draw):
+    """(integer coefficients, n, d, p): a form to read over QQ and over GF(p).
+
+    p is 7, with d < 7, or DEFAULT_PRIME; coefficients are small, or
+    multiples of p plus a small part, so that the reduction mod p often
+    loses rank.
+    """
+    p = draw(st.sampled_from([7, DEFAULT_PRIME]))
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    support = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)), min_size=1,
+                            max_size=12, unique=True))
+    small = st.integers(-9, 9)
+    coefficient = st.one_of(small, st.builds(lambda k, x: k * p + x, small, st.integers(-1, 1)))
+    return {e: draw(coefficient) for e in support}, n, d, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_forms())
+def test_hilbert_function_drops_mod_p(case):
+    # an integer form's catalecticants over GF(p) are those over QQ reduced
+    # mod p, and reduction never raises a rank
+    coefficients, n, d, p = case
+    assume(any(c % p for c in coefficients.values()))
+    over_q = DualForm(Poly(n, QQ, {e: Fraction(c) for e, c in coefficients.items() if c}))
+    over_p = DualForm(Poly(n, GF(p), {e: c % p for e, c in coefficients.items() if c % p}))
+    h_q, h_p = hilbert_function(over_q), hilbert_function(over_p)
+    assert len(h_q) == len(h_p) == d + 1
+    assert all(a <= b for a, b in zip(h_p, h_q))
+
+
+def _power_sum(field) -> Poly:
+    """The sum of the sixth powers of four integer linear forms in five variables."""
+    forms = ((1, 1, 1, 1, 1), (1, 2, 0, 1, 3), (2, 0, 1, 3, 1), (0, 1, 2, 1, 1))
+    units = [tuple(int(j == i) for j in range(5)) for i in range(5)]
+    powers = [Poly(5, field, {u: field.from_fraction(c) for u, c in zip(units, v) if c}) ** 6
+              for v in forms]
+    return sum(powers[1:], powers[0])
+
+
+def test_power_sum_ranks_are_certified_mod_p():
+    # r = 4 <= d + 1 general powers give h = (1, 4, 4, 4, 4, 4, 1); the
+    # catalecticants of degrees 1, 2 and 3 hold at least 512 cells and are
+    # deficient, so each rank is certified by a lifted kernel, and Bareiss
+    # only ranks the single row of degree 0
+    F = DualForm(_power_sum(QQ))
+    certified, real = [], linalg._certified_rank
+    with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss, \
+            mock.patch.object(linalg, "_certified_rank",
+                              side_effect=lambda sub, cols: certified.append(real(sub, cols))
+                              or certified[-1]):
+        h = hilbert_function(F)
+    assert tuple(h) == hf_by_kernels(F) == (1, 4, 4, 4, 4, 4, 1)
+    assert certified == [4, 4, 4]
+    assert all(len(sub) * len(sub[0]) < linalg._SHADOW_CELLS
+               for (sub, _), _ in bareiss.call_args_list)
+    # the paper's theorem: Sperner number 4 <= d + 1 forces the WLP
+    report = wlp_check(DualForm(_power_sum(FP)), trials=5, seed=23)
+    assert report.verdict is Verdict.HOLDS, f"WLP FAILS at seed 23: {report.failing_degrees}"
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -18,7 +19,7 @@ from apolar import (
     parse_poly,
 )
 from apolar import fields, linalg
-from oracles import cleared_row, column_rank_profile, leibniz_det
+from oracles import cleared_row, column_rank_profile, leibniz_det, lifted_kernel_certifies
 
 FP = GF()
 
@@ -125,6 +126,20 @@ def test_pivot_columns():
 def test_unreduced_entries_mean_their_residues(entries, rank, det, pivots, kernel):
     m = ExactMatrix(entries, GF(7))
     assert (m.rank(), m.det(), m.pivot_columns(), m.kernel_basis()) == (rank, det, pivots, kernel)
+
+
+@pytest.mark.parametrize("field, entries, message", [
+    (GF(7), [[Fraction(1, 2), 1], [1, 1]], "entry Fraction(1, 2) at row 0, column 0 is not an int"),
+    (GF(7), [[1, 1], [1, 0.5]], "entry 0.5 at row 1, column 1 is not an int"),
+    (GF(7), [[1, 2], [0, Fraction(7, 1)]], "entry Fraction(7, 1) at row 1, column 1 is not an int"),
+    (FP, [[1, 2, "3"]], "entry '3' at row 0, column 2 is not an int"),
+    (QQ, [[Fraction(1, 2), 1], [1, 0.5]],
+     "entry 0.5 at row 1, column 1 is not an int or a Fraction"),
+    (QQ, [[0.0, 1]], "entry 0.0 at row 0, column 0 is not an int or a Fraction"),
+])
+def test_constructor_rejects_inexact_entries(field, entries, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExactMatrix(entries, field)
 
 
 @st.composite
@@ -407,27 +422,83 @@ def shadow_cases(draw):
     return kind, ints, [rng.randint(1, 6) for _ in range(rows)]
 
 
+def _planted(rows: int, cols: int, k: int, low: int, high: int, seed: str) -> list[list[int]]:
+    """The product of a rows x k and a k x cols integer matrix, entries drawn from [low, high]."""
+    rng = random.Random(seed)
+    a = [[rng.randint(low, high) for _ in range(k)] for _ in range(rows)]
+    b = [[rng.randint(low, high) for _ in range(cols)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _lifted(rows: int, cols: int, k: int, seed: str) -> list[list[int]]:
+    """A planted rank-k product plus p times a positive matrix: rank k mod p, full over QQ."""
+    rng = random.Random(seed)
+    return [[x + DEFAULT_PRIME * rng.randint(1, 9) for x in row]
+            for row in _planted(rows, cols, k, 1, 9, seed)]
+
+
+def _dens(rows: int) -> list[int]:
+    return [1 + i % 6 for i in range(rows)]
+
+
+#: Deficient shadows of at least 512 cells, the route `rank` must take and
+#: the rank over QQ: a rank-2 product whose kernel lifts and checks out;
+#: `lifted` rows whose kernel mod p lifts, on the left (rows < cols) and on
+#: the right (rows > cols), but not to a kernel over QQ; a rank-3 product of
+#: entries near 2^40, whose kernel has entries past the reconstruction bound.
+SHADOW_ROUTES = {
+    "certified": (("product", _planted(24, 24, 2, 1, 9, "rank two"), _dens(24)), "certified", 2),
+    "lifted wide": (("lifted", _lifted(24, 30, 3, "wide"), _dens(24)), "rejected", 24),
+    "lifted tall": (("lifted", _lifted(30, 24, 3, "tall"), _dens(30)), "rejected", 24),
+    "past the bound": (("product", _planted(24, 24, 3, 2**18, 2**19, "wide entries"), _dens(24)),
+                       "unliftable", 3),
+}
+
+
 @settings(max_examples=80, deadline=None)
 @given(shadow_cases())
 @example(("dense", [[DEFAULT_PRIME, 1]], [1]))  # pivots at column 0 over QQ, at 1 mod p
+@example(SHADOW_ROUTES["certified"][0])
+@example(SHADOW_ROUTES["lifted wide"][0])
+@example(SHADOW_ROUTES["lifted tall"][0])
+@example(SHADOW_ROUTES["past the bound"][0])
 def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
-    # a full rank mod p certifies the rank over QQ; anything less falls back
-    # to Bareiss, and only `rank` reads the shadow, so the pivot columns stay
-    # those over QQ
+    # a full rank mod p certifies the rank over QQ, and so does a deficient
+    # one whose kernel mod p lifts to a kernel over QQ; anything else falls
+    # back to Bareiss, and only `rank` reads the shadow, so the pivot
+    # columns stay those over QQ
     kind, ints, dens = case
     rows, cols = len(ints), len(ints[0])
     entries = [[Fraction(x, d) for x in row] for row, d in zip(ints, dens)]
     cleared = [cleared_row(row) for row in entries]
     pivots = linalg._eliminate_int([row[:] for row in cleared], False)[0]
     full = min(rows, cols)
-    if kind == "lifted":
-        assume(len(pivots) == full)
-        assert not linalg._full_rank_mod(cleared, cols)
     den = lcm(*dens)
     integral = [[x * (den // d) for x in row] for row, d in zip(ints, dens)]
+    shadow = len(column_rank_profile(integral, DEFAULT_PRIME))
+    if kind == "lifted":
+        assume(len(pivots) == full)
+        assert shadow < full
+    certified = rows * cols >= linalg._SHADOW_CELLS and (
+        shadow == full or lifted_kernel_certifies(integral, DEFAULT_PRIME))
     for m in (ExactMatrix(entries, QQ), ExactMatrix._integral(integral, den, QQ)):
         with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
             assert m.rank() == len(pivots)
-        shadowed = rows * cols >= linalg._SHADOW_CELLS and len(pivots) == full and kind != "lifted"
-        assert bareiss.called != shadowed
+        assert bareiss.called != certified
         assert m.pivot_columns() == pivots
+
+
+@pytest.mark.parametrize("name", SHADOW_ROUTES)
+def test_deficient_shadows_take_their_route(name):
+    (_, ints, dens), route, expected = SHADOW_ROUTES[name]
+    den = lcm(*dens)
+    m = ExactMatrix._integral([[x * (den // d) for x in row] for row, d in zip(ints, dens)],
+                              den, QQ)
+    lifts, lift = [], linalg._lift
+    with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss, \
+            mock.patch.object(linalg, "_lift", side_effect=lambda v, p: lifts.append(lift(v, p))
+                              or lifts[-1]):
+        rank = m.rank()
+    assert rank == expected
+    assert lifts and bareiss.called == (route != "certified")
+    assert (None in lifts) == (route == "unliftable")
