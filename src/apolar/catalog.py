@@ -742,13 +742,13 @@ def perazzo_dual_form(d: int, field=QQ) -> DualForm:
 _CUBIC_16661_TEXT = "X1*X4^2 + X2*X4*X5 + X3*X5^2 + X6^3"
 
 
-def exceptional_hvector_examples(verify: bool = True):
+def exceptional_hvector_examples():
     """The three h-vectors that do not force the WLP, with witnesses.
 
-    Returns (HVector, DualForm) pairs over the rationals.  With
-    ``verify=True`` each entry is re-checked on load: the Hilbert function
-    must match exactly and a weak Lefschetz check over the default prime
-    field (5 trials at the fixed seed 20240901) must fail.
+    Returns (HVector, DualForm) pairs over the rationals.  Each entry is
+    re-checked on load: the Hilbert function must match exactly and a weak
+    Lefschetz check over the default prime field (5 trials at the fixed
+    seed 20240901) must fail.
     """
     from .lefschetz import Verdict, wlp_check
 
@@ -764,12 +764,8 @@ def exceptional_hvector_examples(verify: bool = True):
             raise InternalInconsistencyError(
                 f"catalog form for {expected} has Hilbert function {tuple(h)}"
             )
-        if verify:
-            modular = DualForm(form.poly.map_to_field(PrimeField(DEFAULT_PRIME)))
-            report = wlp_check(modular, trials=5, seed=20240901)
-            if report.verdict is not Verdict.FAILS:
-                raise InternalInconsistencyError(
-                    f"catalog form for {expected} did not fail the WLP"
-                )
+        modular = DualForm(form.poly.map_to_field(PrimeField(DEFAULT_PRIME)))
+        if wlp_check(modular, trials=5, seed=20240901).verdict is not Verdict.FAILS:
+            raise InternalInconsistencyError(f"catalog form for {expected} did not fail the WLP")
         out.append((h, form))
     return out

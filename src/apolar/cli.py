@@ -40,7 +40,7 @@ from .duality import DualForm, ann_degree, hilbert_function
 from .errors import HypothesisViolationError, InternalInconsistencyError
 from .fields import QQ, PrimeField, field_from_description
 from .grammar import ParseError, format_poly, parse_poly
-from .lefschetz import Verdict, slp_check, snake_consistency, wlp_check
+from .lefschetz import SlpReport, Verdict, WlpReport, slp_check, snake_consistency, wlp_check
 from .poly import Poly, random_linear_form
 
 SCHEMA_VERSION = 2
@@ -201,12 +201,12 @@ def _mono_text(exp) -> str:
 _GIN2_SETS = {GENERIC_GIN2: "generic", SPECIAL_GIN2: "special"}
 
 
-def _wlp_lines(report) -> list[str]:
+def _wlp_lines(report: WlpReport | SlpReport) -> list[str]:
     lines = []
     if report.verdict is Verdict.HOLDS:
         lines.append(f"verdict: Holds (certificate: trial {report.certificate_trial}, "
                      f"form {report.certificate_form})")
-    elif hasattr(report, "failing_degrees"):
+    elif isinstance(report, WlpReport):
         shown = sorted(set(report.failing_degrees) | set(report.dual_failing_degrees))
         lines.append(f"verdict: FailsAtDegrees({shown})")
     else:

@@ -244,6 +244,11 @@ def hilbert_function(F: DualForm) -> HVector:
     return record.h
 
 
+def _padded_h(G: DualForm | None, d: int) -> list[int]:
+    """h_G in degrees 0..d, zero past its socle degree and everywhere for None."""
+    return [0] * (d + 1) if G is None else list(hilbert_function(G)) + [0] * (d - G.degree)
+
+
 def pairing_rows(F: DualForm, operators: list[Poly], i: int) -> ExactMatrix:
     """Rows of pairings of degree-i operators against the degree-(d-i) basis.
 
@@ -381,14 +386,5 @@ def hf_modulo_linear(F: DualForm, ell: Poly) -> tuple[int, ...]:
     HF(A/ell)(i) = HF(A)(i) - HF(B)(i-1) with B presented by ell applied to F.
     """
     _require_linear(ell)
-    h_a = hilbert_function(F)
-    B = contract(ell, F)
-    if B is None:
-        h_b = ()
-    else:
-        h_b = tuple(hilbert_function(B))
-    out = []
-    for i in range(F.degree + 1):
-        b_prev = h_b[i - 1] if 0 <= i - 1 < len(h_b) else 0
-        out.append(h_a[i] - b_prev)
-    return tuple(out)
+    h_b = [0] + _padded_h(contract(ell, F), F.degree - 1)
+    return tuple(a - b for a, b in zip(hilbert_function(F), h_b))

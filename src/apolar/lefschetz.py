@@ -4,8 +4,12 @@ Every multiplication rank is the Hilbert function of one contraction: the
 rank of multiplication by g from [A]_i to [A]_{i + deg g} is h_{g o F}(i),
 the rank of the i-th catalecticant of g applied to F, because that
 contraction presents the image algebra A/(0 : g).  The weak and strong
-Lefschetz checks and the snake ledger all read their ranks off it; one
-seeded trial loop serves both Lefschetz checks.  The ledger's one other
+Lefschetz checks and the snake ledger all read their ranks off it, with
+every h-vector padded by zeros outside its degrees (`_padded_h`).  One
+search, `_search`, ranks x ell^k on a list of maps (i, k) for each ell it
+is given and makes the one `DegreeRecord` per map that `is_wl_element`
+(one ell) and both Lefschetz checks (seeded draws) report; a report stores
+the deficient maps and derives its verdict from them.  The ledger's one other
 rank, on C = A/(g), is pinned by these h-vectors in every degree where ell
 or g maps onto [A]_{i+1} or annihilates F, and is eliminated only elsewhere.
 Powers of a linear form are never expanded: ell^k o F is ell o (ell^{k-1}
@@ -31,6 +35,7 @@ from math import factorial
 from .duality import (
     DualForm,
     HVector,
+    _padded_h,
     _require_linear,
     catalecticant,
     contract,
@@ -76,14 +81,21 @@ class DegreeRecord:
 class WlpReport:
     h: HVector
     records: list[DegreeRecord]
-    verdict: Verdict
     failing_degrees: tuple[int, ...]  # source degrees i of deficient maps
-    dual_failing_degrees: tuple[int, ...]  # their mirrors d - i under duality
     trials_used: int
     seed: int
     field_description: str
     certificate_trial: int | None = None
     certificate_form: str | None = None
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.FAILS if self.failing_degrees else Verdict.HOLDS
+
+    @property
+    def dual_failing_degrees(self) -> tuple[int, ...]:
+        """The mirrors d - i of the failing degrees under duality."""
+        return tuple(sorted({self.h.socle_degree - i for i in self.failing_degrees}))
 
     def to_dict(self) -> dict:
         return {
@@ -107,13 +119,16 @@ class WlpReport:
 class SlpReport:
     h: HVector
     records: list[DegreeRecord]  # the k = d - 2i diagonal
-    verdict: Verdict
     failing_pairs: tuple[tuple[int, int], ...]  # (i, k) of deficient maps
     trials_used: int
     seed: int
     field_description: str
     certificate_trial: int | None = None
     certificate_form: str | None = None
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.FAILS if self.failing_pairs else Verdict.HOLDS
 
     def to_dict(self) -> dict:
         return {
@@ -150,9 +165,13 @@ def _power_chain(F: DualForm, ell: Poly, top: int) -> list[DualForm | None]:
     """
     chain: list[DualForm | None] = [F]
     for _ in range(top):
-        G = chain[-1]
-        chain.append(None if G is None else contract(ell, G))
+        chain.append(_times_ell(chain[-1], ell))
     return chain
+
+
+def _times_ell(G: DualForm | None, ell: Poly) -> DualForm | None:
+    """ell o G, or None when G is None or of degree 0, where ell annihilates it."""
+    return None if G is None or G.degree == 0 else contract(ell, G)
 
 
 def _require_prime_field(F: DualForm, what: str) -> None:
@@ -160,76 +179,69 @@ def _require_prime_field(F: DualForm, what: str) -> None:
         raise ValueError(f"{what} samples generic forms and needs a prime field")
 
 
-def _image_ranks(F: DualForm, g: Poly) -> list[int]:
-    """Ranks of multiplication by g from [A]_i to [A]_{i + deg g}, i = 0..d.
-
-    The image of x g is A/(0 : g), presented by g applied to F, so the rank
-    from degree i is h_{g o F}(i): zero past the degree of g o F, and zero in
-    every degree when g annihilates F or has degree above d.
-    """
-    return _padded_h(contract(g, F) if g.degree() <= F.degree else None, F.degree)
-
-
-def _padded_h(G: DualForm | None, d: int) -> list[int]:
-    """h_G in degrees 0..d, zero past its socle degree and everywhere for None."""
-    return [0] * (d + 1) if G is None else list(hilbert_function(G)) + [0] * (d - G.degree)
-
-
 def is_wl_element(F: DualForm, ell: Poly) -> list[DegreeRecord]:
     """Per-degree ranks of multiplication by the given linear form."""
     _require_linear(ell)
-    h = hilbert_function(F)
-    achieved = _image_ranks(F, ell)
-    return [
-        DegreeRecord(i, 1, min(h[i], h[i + 1]), achieved[i])
-        for i in range(F.degree)
-    ]
+    return _search(F, [(i, 1) for i in range(F.degree)], [ell]).records
 
 
-def _trial_seeds(seed: int, trials: int) -> list[int]:
+def _draws(F: DualForm, trials: int, seed: int):
+    """The linear forms of trials 0..trials-1, drawn as each is needed.
+
+    Trial t draws `random_linear_form` from Random(s_t), where s_t is the
+    t-th `getrandbits(63)` of Random(seed).
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     master = random.Random(seed)
-    return [master.getrandbits(63) for _ in range(trials)]
+    return (random_linear_form(F.n, F.field, random.Random(master.getrandbits(63)))
+            for _ in range(trials))
 
 
 @dataclass
 class _Search:
-    """Outcome of the seeded trial loop over a list of maps (i, k)."""
+    """Outcome of the trial loop over a list of maps (i, k)."""
 
     h: HVector
-    ranks: dict[tuple[int, int], int]  # the certificate's, else the best per map
-    misses: tuple[tuple[int, int], ...]  # maps some trial left deficient
+    records: list[DegreeRecord]  # per map: the certificate's rank, else the best one
+    misses: tuple[tuple[int, int], ...]  # maps some trial left deficient, none after a certificate
     trials_used: int
     certificate_trial: int | None
     certificate_form: str | None
 
 
-def _search(F: DualForm, maps: list[tuple[int, int]], trials: int, seed: int) -> _Search:
-    """Draw one linear form ell per seeded trial and rank x ell^k on every map.
+def _search(F: DualForm, maps: list[tuple[int, int]], ells) -> _Search:
+    """Rank x ell^k on every map (i, k) for each linear form ell in turn.
 
-    Stops at the first ell of maximal rank on all maps (i, k), which
-    certifies the property; otherwise keeps the best rank seen per map and
-    the union of the deficient maps over all trials.
+    The only place ranks become `DegreeRecord`s, each against its expected
+    rank min(h_i, h_{i+k}); a map with k = 0 is the identity, of rank h_i.
+    The rank of x ell^k from [A]_i is h_{ell^k o F}(i), read off the chain of
+    contractions by ell.  Stops at the first ell of maximal rank on all
+    maps, which certifies the property: its ranks, and no misses.  Without
+    one, keeps the best rank seen per map and the union of the deficient
+    maps over all trials.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    d = F.degree
     h = hilbert_function(F)
-    expected = {(i, k): min(h[i], h[i + k]) for i, k in maps}
+    expected = [min(h[i], h[i + k]) for i, k in maps]
     powers = {k for _, k in maps}
-    best = dict.fromkeys(maps, 0)
+    best = [0] * len(maps)
     misses: set[tuple[int, int]] = set()
-    for t, ts in enumerate(_trial_seeds(seed, trials)):
-        ell = random_linear_form(F.n, F.field, random.Random(ts))
+    certificate = None, None
+    for t, ell in enumerate(ells):
         chain = _power_chain(F, ell, max(powers, default=0))
-        ranks = {k: _padded_h(chain[k], F.degree) for k in powers}
-        achieved = {(i, k): ranks[k][i] for i, k in maps}
-        if any(achieved[m] > expected[m] for m in maps):
+        ranks = {k: _padded_h(chain[k], d) for k in powers}
+        achieved = [ranks[k][i] for i, k in maps]
+        if any(a > e for a, e in zip(achieved, expected)):
             raise InternalInconsistencyError("multiplication rank exceeded its bound")
-        bad = [m for m in maps if achieved[m] < expected[m]]
+        bad = {m for m, a, e in zip(maps, achieved, expected) if a < e}
         if not bad:
-            return _Search(h, achieved, (), t + 1, t, format_poly(ell, var="x"))
-        best = {m: max(best[m], achieved[m]) for m in maps}
-        misses.update(bad)
-    return _Search(h, best, tuple(sorted(misses)), trials, None, None)
+            best, misses, certificate = achieved, set(), (t, format_poly(ell, var="x"))
+            break
+        best = list(map(max, best, achieved))
+        misses |= bad
+    records = [DegreeRecord(i, k, e, a) for (i, k), e, a in zip(maps, expected, best)]
+    return _Search(h, records, tuple(sorted(misses)), t + 1, *certificate)
 
 
 def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
@@ -240,16 +252,11 @@ def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
     of the deficient source degrees.
     """
     _require_prime_field(F, "wlp_check")
-    d = F.degree
-    found = _search(F, [(i, 1) for i in range(d)], trials, seed)
-    h = found.h
-    failing = tuple(i for i, _ in found.misses)
+    found = _search(F, [(i, 1) for i in range(F.degree)], _draws(F, trials, seed))
     return WlpReport(
-        h=h,
-        records=[DegreeRecord(i, 1, min(h[i], h[i + 1]), found.ranks[(i, 1)]) for i in range(d)],
-        verdict=Verdict.FAILS if failing else Verdict.HOLDS,
-        failing_degrees=failing,
-        dual_failing_degrees=tuple(sorted({d - i for i in failing})),
+        h=found.h,
+        records=found.records,
+        failing_degrees=tuple(i for i, _ in found.misses),
         trials_used=found.trials_used,
         seed=seed,
         field_description=F.field.describe(),
@@ -261,23 +268,20 @@ def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
 def slp_check(F: DualForm, trials: int, seed: int) -> SlpReport:
     """Monte-Carlo strong Lefschetz check.
 
-    The reported records follow the k = d - 2i diagonal that already decides
-    the property for a Gorenstein algebra, but every pair (i, k) with k >= 1
-    and i + k <= d is verified directly per trial - cheap at this scale and
-    independent of any reduction argument.
+    Every pair (i, k) with i + k <= d is ranked per trial, k = 0 included:
+    those maps are identities of rank h_i, never deficient.  The reported
+    records are the k = d - 2i diagonal, which already decides the property
+    for a Gorenstein algebra; the other pairs are verified directly - cheap
+    at this scale and independent of any reduction argument - and the
+    deficient ones are the failing pairs.
     """
     _require_prime_field(F, "slp_check")
     d = F.degree
-    pairs = [(i, k) for k in range(1, d + 1) for i in range(0, d - k + 1)]
-    found = _search(F, pairs, trials, seed)
-    h = found.h
+    pairs = [(i, k) for i in range(d + 1) for k in range(d - i + 1)]
+    found = _search(F, pairs, _draws(F, trials, seed))
     return SlpReport(
-        h=h,
-        records=[
-            DegreeRecord(i, d - 2 * i, h[i], found.ranks[(i, d - 2 * i)] if d > 2 * i else h[i])
-            for i in range(d // 2 + 1)
-        ],
-        verdict=Verdict.FAILS if found.misses else Verdict.HOLDS,
+        h=found.h,
+        records=[r for r in found.records if r.k == d - 2 * r.i],
         failing_pairs=found.misses,
         trials_used=found.trials_used,
         seed=seed,
@@ -398,7 +402,10 @@ class SnakeRecord:
 @dataclass
 class SnakeLedger:
     records: list[SnakeRecord]
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return all(r.consistent for r in self.records)
 
     def to_dict(self) -> dict:
         return {
@@ -414,8 +421,11 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
     multiplication maps, and checks the snake-lemma implication: flanking
     maps both injective (resp. surjective) force the middle one to be so.
 
-    The ranks on A and B are Hilbert functions of ell o F and of ell o B.
-    The rank on C is the joint rank r of the pairing rows of ell * x^u and
+    g must be a nonzero form of degree s <= d, as `contract` requires; it
+    raises ValueError otherwise.  The dimensions of A and B and the ranks
+    on them are Hilbert functions of F, B = g o F, ell o F and ell o B, each
+    padded with zeros to degrees 0..d+1 and B's shifted up by s.  The rank
+    on C is the joint rank r of the pairing rows of ell * x^u and
     g * x^w in degree i + 1, less h_B(i + 1 - s).  Both blocks of rows have
     known ranks and lie in the row space of catalecticant(F, i + 1), so
     max(rank_a(i), h_B(i + 1 - s)) <= r <= min(h_A(i + 1), rank_a(i) +
@@ -423,32 +433,19 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
     bounds differ.
     """
     _require_linear(ell)
-    if g.is_zero():
-        raise ValueError("expected a nonzero form g")
-    if not g.is_homogeneous():
-        raise ValueError("g must be homogeneous")
-    s = g.degree()
-    d = F.degree
-    if s > d:
-        raise ValueError(f"degree of g exceeds socle degree {d}")
-    h_a = hilbert_function(F)
     B = contract(g, F)
-    L = contract(ell, F) if d else None
-    h_b: tuple[int, ...] = tuple(hilbert_function(B)) if B is not None else ()
-    # x ell on A from degree i, and on B from degree i - s
-    ranks_a = _padded_h(L, d)
-    ranks_b = _image_ranks(B, ell) if B is not None else []
-
-    def dim_a(j: int) -> int:
-        return h_a[j] if 0 <= j <= d else 0
-
-    def dim_b(j: int) -> int:
-        return h_b[j] if 0 <= j < len(h_b) else 0
-
+    s, d = g.degree(), F.degree
+    L = _times_ell(F, ell)
+    # degrees 0..d+1: dimensions of A and of B(-s), and the ranks of x ell
+    # on A from degree i and on B from degree i - s
+    h_a = _padded_h(F, d + 1)
+    h_b = [0] * s + _padded_h(B, d + 1 - s)
+    ranks_a = _padded_h(L, d + 1)
+    ranks_b = [0] * s + _padded_h(_times_ell(B, ell), d + 1 - s)
     records = []
     for i in range(d + 1):
-        b_dims = (dim_b(i - s), dim_b(i + 1 - s))
-        a_dims = (dim_a(i), dim_a(i + 1))
+        b_dims = (h_b[i], h_b[i + 1])
+        a_dims = (h_a[i], h_a[i + 1])
         c_dims = (a_dims[0] - b_dims[0], a_dims[1] - b_dims[1])
         # right map: the image of x ell in [A/(g)]_{i+1} is the span of the
         # pairing rows of ell * x^u and g * x^w, minus the span of g * x^w.
@@ -462,16 +459,6 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
         hi = min(a_dims[1], ranks_a[i] + b_dims[1])
         if lo < hi:
             lo = ExactMatrix._stacked([catalecticant(L, i), catalecticant(B, i + 1 - s)]).rank()
-        rank_c = lo - b_dims[1]
-        records.append(
-            SnakeRecord(
-                i=i,
-                dims_b=b_dims,
-                dims_a=a_dims,
-                dims_c=c_dims,
-                rank_b=ranks_b[i - s] if 0 <= i - s < len(ranks_b) else 0,
-                rank_a=ranks_a[i],
-                rank_c=rank_c,
-            )
-        )
-    return SnakeLedger(records=records, consistent=all(r.consistent for r in records))
+        records.append(SnakeRecord(i=i, dims_b=b_dims, dims_a=a_dims, dims_c=c_dims,
+                                   rank_b=ranks_b[i], rank_a=ranks_a[i], rank_c=lo - b_dims[1]))
+    return SnakeLedger(records)

@@ -28,10 +28,14 @@ rows and columns left reach the elimination:
   GF(2) the fold keeps each slot's low bit, and lambda = 1;
 - over QQ, `_eliminate_int` runs fraction-free Bareiss elimination (Bareiss
   1968) on a copy of the integer rows; the denominator scales every row
-  alike, so it enters only the determinant, as den^rows.  Its reduced
-  variant is fraction-free Gauss-Jordan elimination: every pivot ends equal
-  to the last one, D, and the reduced row echelon form is the integer
-  matrix over D, which the kernel reads without making a Fraction row.
+  alike, so it enters only the determinant, as den^rows.  When den > 1,
+  `_primitive` first divides each row by its content, the factor that the
+  lcm put into a row over a smaller denominator of its own, which Bareiss
+  would otherwise carry into every minor; the contents' product enters the
+  determinant.  Its reduced variant is fraction-free Gauss-Jordan
+  elimination: every pivot ends equal to the last one, D, and the reduced
+  row echelon form is the integer matrix over D, which the kernel reads
+  without making a Fraction row.
 
 `rank` over QQ first tries a mod-p shadow when the rows left after the peel
 hold at least `_SHADOW_CELLS` cells: they are reduced mod DEFAULT_PRIME and
@@ -59,7 +63,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .fields import DEFAULT_PRIME, QQ, PrimeField
@@ -174,7 +178,7 @@ class ExactMatrix:
             rank = _certified_rank(sub, len(keep))
             if rank is not None:
                 return len(peeled) + rank
-        return len(peeled) + len(_eliminate_int(sub, False)[0])
+        return len(peeled) + len(_eliminate_int(_primitive(sub, self._den)[0], False)[0])
 
     def det(self):
         if self.rows != self.cols:
@@ -202,14 +206,15 @@ class ExactMatrix:
 
 
 #: Cells left after `_peel` from which `rank` over QQ tries the shadow.
-#: Timed on the exactness workload's QQ ranks, each both ways: with the
-#: folding elimination the shadow breaks even with Bareiss on full-rank rows
-#: of 64 to 128 cells.  A cutoff of 128 cut the summed rank time by 4%, yet
-#: end to end it gained nothing that runs of the workload could resolve and
-#: raised its peak memory by 0.4 MB, so the cutoff stays at 512.  That was
-#: measured while a deficient shadow still ran Bareiss as well; now that
-#: `_certified_rank` certifies it, every one the workload meets at 512 cells
-#: or more (the stacked snake-ledger catalecticants) skips Bareiss.
+#: Below it a QQ rank is small, and Bareiss on a few integer rows costs less
+#: than reducing them mod p and, when they are deficient, lifting a kernel;
+#: at 512 cells or more (on the exactness workload, the stacked snake-ledger
+#: catalecticants) the shadow wins, deficient or not.  Measured on that
+#: workload at seed 5, three alternating 10 s pairs on 2 cores: a cutoff of 0
+#: instead of 512 left items_per_s flat (487-497 against 492-510), but
+#: raised item_p50_ms from 0.53-0.57 to 0.77-0.79, since the typical item's
+#: many small ranks all paid for the shadow, while item_tail_ms fell from
+#: 4.07-4.13 to 3.38-3.43, as the slowest items' ranks below 512 cells gain.
 _SHADOW_CELLS = 512
 
 
@@ -358,7 +363,9 @@ def _echelon(matrix: ExactMatrix, reduced: bool):
         found, det, rows = _eliminate_mod(sub, field.p, reduced)
         scale = 1
     else:
+        sub, contents = _primitive(sub, matrix._den)
         found, det = _eliminate_int(sub, reduced)
+        det *= contents
         rows = sub[:len(found)] if reduced else []
         scale = rows[-1][found[-1]] if rows else 1
     if len(keep) < cols:
@@ -373,6 +380,22 @@ def _echelon(matrix: ExactMatrix, reduced: bool):
             if prime:
                 det %= field.p
     return pivots, det, keep, list(zip(found, rows)), scale
+
+
+def _primitive(sub: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """The nonzero integer rows `sub`, each divided by its content when den > 1, and their product.
+
+    Rows put over the lcm `den` of all denominators carry, each, the factor by
+    which its own denominator falls short of it, and Bareiss would carry
+    that factor into every minor it forms with the row.  Dividing a row by
+    the gcd of its entries drops it and changes no rank, pivot or reduced
+    row; the determinant is that of the result times the product of the
+    gcds, returned with it.  With den = 1 the rows are returned as they are.
+    """
+    if den == 1:
+        return sub, 1
+    contents = [gcd(*row) for row in sub]
+    return [[x // c for x in row] if c > 1 else row for row, c in zip(sub, contents)], prod(contents)
 
 
 def _peel(m, cols: int):

@@ -7,7 +7,9 @@ coefficient-times-factorial closed form of the catalecticant, nor the
 index shift of the divided-power basis), Hessians with each entry
 differentiated and then evaluated at the point term by term (not read off a
 block of the catalecticant of ell^k o F),
-multiplication ranks via the perfect pairing on quotient bases, snake
+multiplication ranks via the perfect pairing on quotient bases, whole
+Lefschetz reports by replaying their seeded trials with every map ranked
+that way (not read off the Hilbert functions of a chain of contractions), snake
 ledger ranks from those and from spans of naive pairing rows,
 coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
@@ -56,8 +58,10 @@ from apolar import (
     QuadricWeb,
     ann_degree,
     diff_action,
+    format_poly,
     monomials_of_degree,
     quotient_basis,
+    random_linear_form,
 )
 from apolar.catalog import _ideal_rows, _symmetric_matrices
 
@@ -157,6 +161,33 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
             row.append(full.coefficient((0,) * F.n))
         rows.append(row)
     return ExactMatrix(rows, field).rank()
+
+
+def lefschetz_search_by_pairing(F: DualForm, maps: list[tuple[int, int]], trials: int, seed: int):
+    """The seeded trial loop of `wlp_check` and `slp_check`, every map ranked by the pairing.
+
+    Trial t draws ell = random_linear_form(n, field, Random(s_t)), s_t the
+    t-th `getrandbits(63)` of Random(seed), and ranks x ell^k on every map
+    (i, k) by `mult_rank_by_pairing` against min(h_i, h_(i+k)) from
+    `hf_by_kernels`.  Returns (ranks by map, misses, trials used,
+    certificate trial, certificate form): the first ell of maximal rank on
+    every map gives its own ranks, no misses, its index and its text;
+    without one, the best rank per map and the sorted maps that some trial
+    left deficient, with no certificate.
+    """
+    h = hf_by_kernels(F)
+    master = random.Random(seed)
+    best = dict.fromkeys(maps, 0)
+    misses: set[tuple[int, int]] = set()
+    for t in range(trials):
+        ell = random_linear_form(F.n, F.field, random.Random(master.getrandbits(63)))
+        ranks = {(i, k): mult_rank_by_pairing(F, ell, i, k) for i, k in maps}
+        bad = {(i, k) for i, k in maps if ranks[(i, k)] < min(h[i], h[i + k])}
+        if not bad:
+            return ranks, (), t + 1, t, format_poly(ell, var="x")
+        best = {m: max(best[m], ranks[m]) for m in maps}
+        misses |= bad
+    return best, tuple(sorted(misses)), trials, None, None
 
 
 def snake_ranks_naive(F: DualForm, g: Poly, ell: Poly) -> list[tuple[int, int, int]]:

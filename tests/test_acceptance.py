@@ -234,7 +234,7 @@ def test_criterion_8_hessian_catalecticant_agreement():
 
 
 def test_criterion_9_exceptional_hvector_list():
-    entries = exceptional_hvector_examples(verify=True)
+    entries = exceptional_hvector_examples()
     expected = [(1, 5, 5, 1), (1, 6, 6, 1), (1, 6, 6, 6, 1)]
     assert [tuple(h) for h, _ in entries] == expected
     for h, form in entries:

@@ -631,12 +631,12 @@ class TestExceptionalExamples:
             (1, 5, 5, 1), (1, 6, 6, 1), (1, 6, 6, 6, 1)]
 
     def test_first_and_last_are_trivial_extensions(self):
-        entries = exceptional_hvector_examples(verify=False)
+        entries = exceptional_hvector_examples()
         assert entries[0][1].poly == perazzo_dual_form(3).poly
         assert entries[2][1].poly == perazzo_dual_form(4).poly
 
     def test_middle_entry_fails_wlp_with_deficiency_one(self):
-        _, form = exceptional_hvector_examples(verify=False)[1]
+        _, form = exceptional_hvector_examples()[1]
         report = wlp_check(DualForm(form.poly.map_to_field(FP)), trials=3, seed=23)
         assert report.verdict is Verdict.FAILS
         assert report.records[1].achieved == 5 and report.records[1].expected == 6

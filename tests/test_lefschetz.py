@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from apolar import (
     GF,
@@ -37,6 +37,8 @@ from apolar.poly import Poly
 from oracles import (
     hessian_at_by_evaluation,
     hessian_by_differentiation,
+    hf_by_kernels,
+    lefschetz_search_by_pairing,
     mult_rank_by_pairing,
     random_form,
     snake_ranks_naive,
@@ -210,6 +212,58 @@ def test_certificate_records_are_the_ranks_of_its_form(case):
         for r in report.records:
             want = h[r.i] if r.k == 0 else mult_rank_by_pairing(F, ell, r.i, r.k)
             assert r.achieved == want
+
+
+@st.composite
+def search_cases(draw):
+    """A dual form over GF(7), GF(101) or the default prime, 1 to 3 trials and a master seed.
+
+    Half the forms are drawn as `prime_forms` draws them, and half are
+    Perazzo's forms of socle degree 3 or 4 read in the field, which fail
+    the WLP for every ell, so that FAILS reports are common.
+    """
+    field = draw(st.sampled_from([GF(7), GF(101), FP]))
+    if draw(st.booleans()):
+        F = DualForm(perazzo_dual_form(draw(st.sampled_from([3, 4]))).poly.map_to_field(field))
+    else:
+        n = draw(st.integers(1, 3))
+        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, draw(st.integers(1, 5)))),
+                             min_size=1, max_size=8, unique=True))
+        F = DualForm(Poly(n, field, {m: draw(st.integers(1, field.p - 1)) for m in mons}))
+    return F, draw(st.integers(1, 3)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases())
+# trial 0 leaves the map (0, 2) deficient and trial 1 certifies
+@example((DF("X1^2 + X1*X2 + X2^2", 2, GF(7)), 2, 3))
+def test_reports_agree_with_the_all_pairs_oracle(case):
+    # every record, miss, trial count and certificate of both checks, FAILS
+    # included, equals a replay of the seeded trials that ranks every map
+    # by the pairing; a certificate leaves no misses of earlier trials
+    F, trials, seed = case
+    d = F.degree
+    h = hf_by_kernels(F)
+    wlp, slp = wlp_check(F, trials=trials, seed=seed), slp_check(F, trials=trials, seed=seed)
+    event(f"wlp {wlp.verdict.value}, slp {slp.verdict.value}")
+    wlp_maps = [(i, 1) for i in range(d)]
+    slp_maps = [(i, k) for k in range(1, d + 1) for i in range(d - k + 1)]
+    for report, maps in ((wlp, wlp_maps), (slp, slp_maps)):
+        ranks, misses, used, trial, form = lefschetz_search_by_pairing(F, maps, trials, seed)
+        assert (report.trials_used, report.certificate_trial, report.certificate_form) == (
+            used, trial, form)
+        assert report.verdict is (Verdict.FAILS if misses else Verdict.HOLDS)
+        if report is wlp:
+            assert [(r.i, r.k) for r in report.records] == maps
+            assert report.failing_degrees == tuple(i for i, _ in misses)
+            assert report.dual_failing_degrees == tuple(sorted({d - i for i, _ in misses}))
+        else:
+            assert [(r.i, r.k) for r in report.records] == [(i, d - 2 * i)
+                                                            for i in range(d // 2 + 1)]
+            assert report.failing_pairs == misses
+        for r in report.records:
+            assert r.expected == min(h[r.i], h[r.i + r.k])
+            assert r.achieved == (h[r.i] if r.k == 0 else ranks[(r.i, r.k)])
 
 
 @pytest.mark.parametrize("d, failing_degrees, dual_failing_degrees, failing_pairs", [
@@ -596,6 +650,17 @@ class TestSnakeConsistency:
             g = random_form(n, 2, FP, rng).poly
             ell = random_linear_form(n, FP, rng)
             assert snake_consistency(F, g, ell).consistent
+
+
+@pytest.mark.parametrize("g, message", [
+    (Poly.zero(2, FP), "zero polynomial"),
+    (parse_poly("x1^2 + x2", 2, FP), "homogeneous"),
+    (parse_poly("x1^4", 2, FP), "exceeds socle degree 3"),
+])
+def test_snake_rejects_a_bad_g(g, message):
+    F = DF("X1^2*X2 + X2^3", 2, FP)
+    with pytest.raises(ValueError, match=message):
+        snake_consistency(F, g, parse_poly("x1 + x2", 2, FP))
 
 
 @st.composite
