@@ -1,27 +1,38 @@
 """Weak and strong Lefschetz checks, Hessians, and snake-lemma bookkeeping.
 
-Every multiplication rank is the Hilbert function of one contraction: the
-rank of multiplication by g from [A]_i to [A]_{i + deg g} is h_{g o F}(i),
+The rank of multiplication by g from [A]_i to [A]_{i + deg g} is h_{g o F}(i),
 the rank of the i-th catalecticant of g applied to F, because that
-contraction presents the image algebra A/(0 : g).  The weak and strong
-Lefschetz checks and the snake ledger all read their ranks off it, with
-every h-vector padded by zeros outside its degrees (`_padded_h`).  One
-search, `_search`, ranks x ell^k on a list of maps (i, k) for each ell it
-is given and makes the one `DegreeRecord` per map that `is_wl_element`
+contraction presents the image algebra A/(0 : g).  The snake ledger reads
+its ranks off these h-vectors, each padded by zeros outside its degrees
+(`_padded_h`).  The ledger's one other rank, on C = A/(g), is pinned by
+them in every degree where ell or g maps onto [A]_{i+1} or annihilates F,
+and is eliminated only elsewhere.
+
+One search, `_search`, ranks x ell^k on a list of maps (i, k) for each ell
+it is given and makes the one `DegreeRecord` per map that `is_wl_element`
 (one ell) and both Lefschetz checks (seeded draws) report; a report stores
-the deficient maps and derives its verdict from them.  The ledger's one other
-rank, on C = A/(g), is pinned by these h-vectors in every degree where ell
-or g maps onto [A]_{i+1} or annihilates F, and is eliminated only elsewhere.
+the deficient maps and derives its verdict from them.  It ranks only what
+h leaves open, on the smallest matrix that has the rank:
+- a map is forced, and never ranked, when k = 0 or when h_{i+k} or
+  h_{d-i} is the dimension of the operator ring in its degree: the map is
+  then injective or onto for every ell;
+- an unforced map's rank is that of a block of the pairing matrix of
+  ell^k o F, on rows B_i and columns B_{d-i-k}, the quotient bases of F;
+- the maps that decide the property come first: the diagonal k = d - 2i
+  for the strong one and the middle map for the weak one (Harima, Maeno,
+  Morita, Numata, Wachi and Watanabe, "The Lefschetz Properties", LNM
+  2080, 2013, ch. 3).  When they have maximal rank, so does every map, and
+  the others are ranked only when one of them falls short.
 Powers of a linear form are never expanded: ell^k o F is ell o (ell^{k-1}
-o F), so the forms ell^k o F for k = 1..d are a chain of d contractions by
-ell.  With ell = sum a_j x_j, ell^k o G = k! G(a) for every form G of
-degree k, so for k = d - 2i the i-th Hessian of F at the point a, times k!,
-is a block of the catalecticant of ell^k o F (Maeno and Watanabe,
-Illinois J. Math. 53, 2009).  Genericity of ell is handled Monte-Carlo
-style over a big prime field: one successful sample is a certificate that
-the property holds (maximal rank is an open condition), while uniform
-failure across seeded trials is reported as failure together with the data
-needed to re-run the experiment.
+o F), so the forms ell^k o F are a chain of contractions by ell.  With ell
+= sum a_j x_j, ell^k o G = k! G(a) for every form G of degree k, so for k =
+d - 2i the i-th Hessian of F at the point a, times k!, is the B_i x B_i
+block of ell^k o F, the same block the strong check ranks (Maeno and
+Watanabe, Illinois J. Math. 53, 2009).  Genericity of ell is handled
+Monte-Carlo style over a big prime field: one successful sample is a
+certificate that the property holds (maximal rank is an open condition),
+while uniform failure across seeded trials is reported as failure together
+with the data needed to re-run the experiment.
 """
 
 from __future__ import annotations
@@ -30,11 +41,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .duality import (
     DualForm,
     HVector,
+    _basis_codes,
+    _block,
     _padded_h,
     _require_linear,
     catalecticant,
@@ -182,7 +195,7 @@ def _require_prime_field(F: DualForm, what: str) -> None:
 def is_wl_element(F: DualForm, ell: Poly) -> list[DegreeRecord]:
     """Per-degree ranks of multiplication by the given linear form."""
     _require_linear(ell)
-    return _search(F, [(i, 1) for i in range(F.degree)], [ell]).records
+    return _weak_search(F, [ell]).records
 
 
 def _draws(F: DualForm, trials: int, seed: int):
@@ -210,28 +223,54 @@ class _Search:
     certificate_form: str | None
 
 
-def _search(F: DualForm, maps: list[tuple[int, int]], ells) -> _Search:
-    """Rank x ell^k on every map (i, k) for each linear form ell in turn.
+def _search(F: DualForm, maps: list[tuple[int, int]], decisive: set[tuple[int, int]],
+            ells) -> _Search:
+    """Rank x ell^k on the maps (i, k) whose rank h leaves open, for each linear form ell in turn.
 
     The only place ranks become `DegreeRecord`s, each against its expected
-    rank min(h_i, h_{i+k}); a map with k = 0 is the identity, of rank h_i.
-    The rank of x ell^k from [A]_i is h_{ell^k o F}(i), read off the chain of
-    contractions by ell.  Stops at the first ell of maximal rank on all
-    maps, which certifies the property: its ranks, and no misses.  Without
-    one, keeps the best rank seen per map and the union of the deficient
-    maps over all trials.
+    rank min(h_i, h_{i+k}).  R is a domain and the pairing of [A]_j with
+    [A]_{d-j} is perfect, so h alone fixes a map's rank for every nonzero
+    ell when
+    - k = 0: the identity, of rank h_i;
+    - h_{i+k} = dim R_{i+k}: then Ann(F) vanishes in degree i + k, so x ell^k
+      is injective from [A]_i = R_i, of rank h_i;
+    - h_{d-i} = dim R_{d-i}: then x ell^k from [A]_{d-i-k} is injective, and
+      its transpose, x ell^k from [A]_i, is onto, of rank h_{i+k}.
+    Such a forced map is never ranked.  Any other map is ranked on the
+    smallest matrix that has its rank: the block of the pairing matrix of
+    ell^k o F on rows B_i and columns B_{d-i-k} (`quotient_basis`), h_i x
+    h_{i+k}, since an operator in Ann(F) pairs to zero with ell^k o F.  The
+    contractions ell^k o F are a chain of contractions by ell, grown only as
+    far as the largest k a ranked map needs.
+
+    In each trial the unforced maps of `decisive` are ranked first.  The
+    caller's `decisive` maps must have maximal rank only when every map
+    does, for any ell; if they do, the trial certifies the property with
+    every record at its expected rank.  Otherwise every unforced map is
+    ranked.  The search stops at the first ell that certifies: its ranks,
+    and no misses.  Without one, it keeps the best rank seen per map and the
+    union of the deficient maps over all trials.
     """
     d = F.degree
     h = hilbert_function(F)
+    full = [comb(F.n - 1 + j, j) for j in range(d + 1)]  # dim R_j
     expected = [min(h[i], h[i + k]) for i, k in maps]
-    powers = {k for _, k in maps}
-    best = [0] * len(maps)
+    unforced = [j for j, (i, k) in enumerate(maps)
+                if k and h[i + k] < full[i + k] and h[d - i] < full[d - i]]
+    first = [j for j in unforced if maps[j] in decisive]
+    rest = [j for j in unforced if maps[j] not in decisive]
+    codes: dict[int, list[int]] = {}  # degree j -> the codes of B_j, once some map needs them
+    best = [0 if j in unforced else e for j, e in enumerate(expected)]
     misses: set[tuple[int, int]] = set()
     certificate = None, None
     for t, ell in enumerate(ells):
-        chain = _power_chain(F, ell, max(powers, default=0))
-        ranks = {k: _padded_h(chain[k], d) for k in powers}
-        achieved = [ranks[k][i] for i, k in maps]
+        chain = [F]
+        achieved = list(expected)
+        for j in first:
+            achieved[j] = _block_rank(chain, ell, codes, *maps[j])
+        if achieved != expected:  # a decisive map fell short: rank the others too
+            for j in rest:
+                achieved[j] = _block_rank(chain, ell, codes, *maps[j])
         if any(a > e for a, e in zip(achieved, expected)):
             raise InternalInconsistencyError("multiplication rank exceeded its bound")
         bad = {m for m, a, e in zip(maps, achieved, expected) if a < e}
@@ -244,15 +283,48 @@ def _search(F: DualForm, maps: list[tuple[int, int]], ells) -> _Search:
     return _Search(h, records, tuple(sorted(misses)), t + 1, *certificate)
 
 
+def _block_rank(chain: list[DualForm | None], ell: Poly, codes: dict, i: int, k: int) -> int:
+    """The rank of x ell^k from [A]_i: ell^k o F on rows B_i and columns B_{d-i-k}.
+
+    `chain` holds F = ell^0 o F, ell o F, ... and is grown to ell^k o F here;
+    `codes` maps a degree j to the codes of B_j, and gains the ones it lacks.
+    """
+    d = chain[0].degree
+    while len(chain) <= k:
+        chain.append(_times_ell(chain[-1], ell))
+    for j in (i, d - i - k):
+        if j not in codes:
+            codes[j] = _basis_codes(chain[0], j)
+    G = chain[k]
+    return 0 if G is None else _block(G, codes[i], codes[d - i - k]).rank()
+
+
+def _weak_search(F: DualForm, ells) -> _Search:
+    """`_search` on x ell from every degree, decided by the middle map.
+
+    A has its socle in degree d only, so a nonzero a in [A]_i, i < d, has
+    x a != 0 for some linear x: a kernel vector of x ell in a low degree
+    is carried up to the middle map, m = floor((d - 1) / 2), and
+    injectivity passes down from it; by the pairing, surjectivity passes
+    up.  So x ell has maximal rank from every degree exactly when it has
+    from m (Migliore, Miro-Roig and Nagel, Trans. AMS 363, 2011, Prop. 2.1;
+    Harima et al., "The Lefschetz Properties", LNM 2080, 2013, ch. 3).
+    """
+    d = F.degree
+    return _search(F, [(i, 1) for i in range(d)], {((d - 1) // 2, 1)}, ells)
+
+
 def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
     """Monte-Carlo weak Lefschetz check with a reproducibility certificate.
 
     Holds as soon as one sampled form has maximal rank at every degree
-    simultaneously; otherwise the failure degrees are the union over trials
-    of the deficient source degrees.
+    simultaneously, which the middle map alone decides (`_weak_search`);
+    otherwise every map h leaves open is ranked in every trial, and the
+    failure degrees are the union over trials of the deficient source
+    degrees.
     """
     _require_prime_field(F, "wlp_check")
-    found = _search(F, [(i, 1) for i in range(F.degree)], _draws(F, trials, seed))
+    found = _weak_search(F, _draws(F, trials, seed))
     return WlpReport(
         h=found.h,
         records=found.records,
@@ -268,17 +340,20 @@ def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
 def slp_check(F: DualForm, trials: int, seed: int) -> SlpReport:
     """Monte-Carlo strong Lefschetz check.
 
-    Every pair (i, k) with i + k <= d is ranked per trial, k = 0 included:
-    those maps are identities of rank h_i, never deficient.  The reported
-    records are the k = d - 2i diagonal, which already decides the property
-    for a Gorenstein algebra; the other pairs are verified directly - cheap
-    at this scale and independent of any reduction argument - and the
-    deficient ones are the failing pairs.
+    Every pair (i, k) with i + k <= d gets a record per trial, k = 0
+    included.  The k = d - 2i diagonal decides the property for a Gorenstein
+    algebra: if x ell^(d-2i) is bijective for every i <= d/2, then x ell^k
+    from [A]_i factors a bijection (injective) below the diagonal and ends
+    one (onto) above it.  So each trial ranks the diagonal first and certifies
+    when it is maximal; only when it is not are the other pairs ranked, and
+    the deficient ones are the failing pairs.  The reported records are the
+    diagonal.
     """
     _require_prime_field(F, "slp_check")
     d = F.degree
     pairs = [(i, k) for i in range(d + 1) for k in range(d - i + 1)]
-    found = _search(F, pairs, _draws(F, trials, seed))
+    diagonal = {(i, d - 2 * i) for i in range(d // 2 + 1)}
+    found = _search(F, pairs, diagonal, _draws(F, trials, seed))
     return SlpReport(
         h=found.h,
         records=[r for r in found.records if r.k == d - 2 * r.i],
@@ -323,7 +398,7 @@ def hessian(F: DualForm, i: int) -> HessianMatrix:
 
 
 def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
-    """The i-th Hessian of F at the point a: catalecticant(ell^k o F, i) on B_i x B_i, over k!."""
+    """The i-th Hessian of F at the point a: ell^k o F paired on B_i x B_i (`_block`), over k!."""
     if len(point) != F.n:
         raise ValueError(f"point has length {len(point)}, expected {F.n}")
     if not 0 <= 2 * i <= F.degree:
@@ -339,15 +414,14 @@ def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
         coordinates.append(field.from_fraction(a.numerator, a.denominator))
     ell = Poly(F.n, field, dict(zip(monomials_of_degree(F.n, 1), coordinates)))
     G = _power_chain(F, ell, k)[k] if k == 0 or ell.terms else None
-    picks = list(map(monomials_of_degree(F.n, i).index, quotient_basis(F, i)))
+    codes = _basis_codes(F, i)
     if G is None:
-        return ExactMatrix._integral([[0] * len(picks) for _ in picks], 1, field)
-    cat = catalecticant(G, i)
-    rows = [[cat._ints[r][c] for c in picks] for r in picks]
+        return ExactMatrix._integral([[0] * len(codes) for _ in codes], 1, field)
+    block = _block(G, codes, codes)
     if p is None:
-        return ExactMatrix._integral(rows, cat._den * factorial(k), field)
+        return ExactMatrix._integral(block._ints, block._den * factorial(k), field)
     inv = pow(factorial(k), -1, p)  # k <= d < p
-    return ExactMatrix._integral([[x * inv % p for x in row] for row in rows], 1, field)
+    return ExactMatrix._integral([[x * inv % p for x in row] for row in block._ints], 1, field)
 
 
 def hessian_det_at(F: DualForm, i: int, point) -> object:

@@ -145,7 +145,9 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
     The image is spanned by ell^k * m_u over a quotient basis of [A]_i, and
     its dimension is the rank of the pairing of those elements against a
     spanning set of [A]_{d-i-k}; every entry is one full contraction
-    (ell^k * m_u * m_w) o F computed with polynomial arithmetic.
+    (ell^k * m_u * m_w) o F = m_w o ((ell^k * m_u) o F), computed with
+    polynomial arithmetic: w! times the coefficient at w of the form
+    (ell^k * m_u) o F, which one diff_action per row gives.
     """
     field = F.field
     d = F.degree
@@ -154,12 +156,9 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
     lk = ell ** k
     rows = []
     for u in src:
-        pu = lk * Poly.monomial(F.n, field, u)
-        row = []
-        for w in pair:
-            full = diff_action(pu * Poly.monomial(F.n, field, w), F.poly)
-            row.append(full.coefficient((0,) * F.n))
-        rows.append(row)
+        image = diff_action(lk * Poly.monomial(F.n, field, u), F.poly)
+        rows.append([field.mul(image.coefficient(w), field.from_int(prod(map(factorial, w))))
+                     for w in pair])
     return ExactMatrix(rows, field).rank()
 
 

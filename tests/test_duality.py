@@ -6,7 +6,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from apolar import (
     DEFAULT_PRIME,
@@ -213,6 +213,62 @@ def test_pairing_rows_agree_with_differentiation(case):
     assert pairing_rows(F, operators, i) == pairing_rows_naive(F, operators, i)
     basis = [Poly.monomial(F.n, F.field, e) for e in monomials_of_degree(F.n, i)]
     assert catalecticant(F, i) == pairing_rows_naive(F, basis, i)
+
+
+@st.composite
+def few_or_many_terms(draw):
+    """A form with few or many terms for its size, a degree i <= d and an operator g.
+
+    Over QQ (non-integral fractions, so the record keeps a denominator),
+    GF(7) or the default prime, in 2 to 6 variables and of degree 1 to 6.
+    Half the forms have 1 to 3 terms, which most catalecticants and
+    contractions in 4 or more variables build from the terms; the others
+    have up to 30, which build cell by cell and target by target.  g is
+    linear or quadratic with 1 to 4 terms.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6))
+    else:
+        coeff = st.integers(1, field.p - 1)
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 6))
+
+    def poly(degree, most):
+        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, degree)),
+                             min_size=1, max_size=most, unique=True))
+        return Poly(n, field, {m: draw(coeff) for m in mons})
+
+    F = DualForm(poly(d, draw(st.sampled_from([3, 30]))))
+    return F, draw(st.integers(0, d)), poly(draw(st.integers(1, min(d, 2))), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_or_many_terms())
+# a Perazzo-like form and a sparse QQ form whose catalecticants and
+# contractions are all built from their terms
+@example((DF("X1*X5^4 + X2*X4*X5^3 + X3*X4^2*X5^2", 5, GF(7)), 1, parse_poly("x5 + 2*x4", 5, GF(7))))
+@example((DF("1/2*X1^2*X6^2 + 3/4*X2*X3*X4*X5", 6), 3, parse_poly("x1*x6 - 2/3*x4^2", 6)))
+def test_term_pair_builders_agree_with_the_oracles(case):
+    # a catalecticant built from F's terms, or cell by cell, equals the
+    # pairing rows of all monomials computed by differentiation, and so does
+    # a contraction gathered from term pairs or target by target; the
+    # contracted form, which keeps F's code base, is checked the same way
+    F, i, g = case
+    terms, s = len(F.poly.terms), g.degree()
+    for G, j in ((F, i), (contract(g, F), i - s)):
+        if G is None or not 0 <= j <= G.degree:
+            continue
+        rows, cols = comb(G.n - 1 + j, j), comb(G.n - 1 + G.degree - j, G.degree - j)
+        size = len(G.poly.terms) * min(rows, cols) * duality._SPARSE_CELLS
+        event("catalecticant from terms" if size < rows * cols else "catalecticant cell by cell")
+        basis = [Poly.monomial(G.n, G.field, e) for e in monomials_of_degree(G.n, j)]
+        assert catalecticant(G, j) == pairing_rows_naive(G, basis, j)
+    targets = comb(F.n - 1 + F.degree - s, F.degree - s)
+    pairs = terms * len(g.terms) * duality._SPARSE_TARGETS
+    event("contraction from term pairs" if pairs < targets else "contraction target by target")
+    G, want = contract(g, F), contract_by_differentiation(g, F)
+    assert (None if G is None else G.poly) == (None if want is None else want.poly)
 
 
 def _contracted(G):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -214,17 +215,38 @@ def test_certificate_records_are_the_ranks_of_its_form(case):
             assert r.achieved == want
 
 
+# the stored cubic with h = (1, 6, 6, 1) that fails the WLP
+CUBIC = "X1*X4^2 + X2*X4*X5 + X3*X5^2 + X6^3"
+
+
+def dense_form(n, d, field, coefficients):
+    """The form with every monomial of degree d, its coefficients read cyclically."""
+    mons = monomials_of_degree(n, d)
+    return DualForm(Poly(n, field, {m: coefficients[j % len(coefficients)]
+                                    for j, m in enumerate(mons)}))
+
+
 @st.composite
 def search_cases(draw):
     """A dual form over GF(7), GF(101) or the default prime, 1 to 3 trials and a master seed.
 
-    Half the forms are drawn as `prime_forms` draws them, and half are
-    Perazzo's forms of socle degree 3 or 4 read in the field, which fail
-    the WLP for every ell, so that FAILS reports are common.
+    Three draws in eight are forms drawn as `prime_forms` draws them, and
+    three are Perazzo's forms of socle degree 3, 4 or 5 read in the field,
+    which fail the WLP for every ell, so that FAILS reports are common.  One
+    is the stored (1, 6, 6, 1) cubic read in the field, and one a dense form
+    in 4 variables of degree 4, 5 or 6, compressed for most draws, so that
+    h forces every WLP map when d is even and none of the middle ones when d
+    is odd.
     """
     field = draw(st.sampled_from([GF(7), GF(101), FP]))
-    if draw(st.booleans()):
-        F = DualForm(perazzo_dual_form(draw(st.sampled_from([3, 4]))).poly.map_to_field(field))
+    kind = draw(st.sampled_from(["sparse"] * 3 + ["perazzo"] * 3 + ["cubic", "dense"]))
+    if kind == "perazzo":
+        F = DualForm(perazzo_dual_form(draw(st.sampled_from([3, 4, 5]))).poly.map_to_field(field))
+    elif kind == "cubic":
+        F = DF(CUBIC, 6, field)
+    elif kind == "dense":
+        coefficients = draw(st.lists(st.integers(1, field.p - 1), min_size=1, max_size=8))
+        F = dense_form(4, draw(st.integers(4, 6)), field, coefficients)
     else:
         n = draw(st.integers(1, 3))
         mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, draw(st.integers(1, 5)))),
@@ -237,6 +259,12 @@ def search_cases(draw):
 @given(search_cases())
 # trial 0 leaves the map (0, 2) deficient and trial 1 certifies
 @example((DF("X1^2 + X1*X2 + X2^2", 2, GF(7)), 2, 3))
+# h = (1, 4, 10, 4, 1): the WLP's middle map (1, 1) is forced injective
+# only (h_2 = dim R_2, h_3 < dim R_3), so the WLP certifies unranked
+@example((dense_form(4, 4, GF(7), [1, 2, 3, 4, 5, 6]), 1, 0))
+# h = (1, 6, 6, 1): (2, 1) is forced onto only (h_1 = dim R_1, h_3 < dim
+# R_3), next to the deficient middle map (1, 1)
+@example((DF(CUBIC, 6, GF(101)), 2, 5))
 def test_reports_agree_with_the_all_pairs_oracle(case):
     # every record, miss, trial count and certificate of both checks, FAILS
     # included, equals a replay of the seeded trials that ranks every map
@@ -248,6 +276,20 @@ def test_reports_agree_with_the_all_pairs_oracle(case):
     event(f"wlp {wlp.verdict.value}, slp {slp.verdict.value}")
     wlp_maps = [(i, 1) for i in range(d)]
     slp_maps = [(i, k) for k in range(1, d + 1) for i in range(d - k + 1)]
+    # which maps h forces, and which ones the checks left unranked when
+    # their decisive maps certified
+    full = [comb(F.n - 1 + j, j) for j in range(d + 1)]
+    injective = {(i, k) for i, k in slp_maps if h[i + k] == full[i + k]}
+    onto = {(i, k) for i, k in slp_maps if h[d - i] == full[d - i]}
+    if injective - onto:
+        event("a map forced injective only")
+    if onto - injective:
+        event("a map forced onto only")
+    decisive = {((d - 1) // 2, 1)}, {(i, d - 2 * i) for i in range(d // 2 + 1)}
+    for name, report, maps, first in (("wlp", wlp, wlp_maps, decisive[0]),
+                                      ("slp", slp, slp_maps, decisive[1])):
+        if report.verdict is Verdict.HOLDS and set(maps) - injective - onto - first:
+            event(f"{name} certified by its decisive maps, unforced maps left unranked")
     for report, maps in ((wlp, wlp_maps), (slp, slp_maps)):
         ranks, misses, used, trial, form = lefschetz_search_by_pairing(F, maps, trials, seed)
         assert (report.trials_used, report.certificate_trial, report.certificate_form) == (
