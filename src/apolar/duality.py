@@ -154,9 +154,10 @@ class _Record:
     plain ints: over F_p the residues, with `den` = 1; over QQ the numerators
     over one common denominator `den`, so the coefficient at e is
     scaled[code] / (den e!).  A contraction keeps its parent's base, so codes
-    stay additive down a chain of contractions; `bases` maps a degree i to
-    `quotient_basis(F, i)` once computed; `images` maps an operator's terms to
-    its contraction of F while that form is alive.
+    stay additive down a chain of contractions; `bases` maps a degree j to
+    the codes of B_j, `quotient_basis(F, j)`, once `_basis_codes` finds them;
+    `images` maps an operator's terms to its contraction of F while that
+    form is alive.
     """
 
     __slots__ = ("scaled", "den", "base", "h", "bases", "images")
@@ -166,7 +167,7 @@ class _Record:
         self.den = den
         self.base = base
         self.h: HVector | None = None
-        self.bases: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.bases: dict[int, tuple[int, ...]] = {}
         self.images = weakref.WeakValueDictionary()
 
 
@@ -231,7 +232,8 @@ def catalecticant(F: DualForm, i: int) -> ExactMatrix:
 
     Entry (u, v) is the constant (m_u m_v) applied to F, i.e. the coefficient
     of F at exponent u+v times the product of factorials of u+v: one lookup
-    of the code of u+v in the scaled coefficients kept in F's record.  Rows
+    of the code of u+v in the scaled coefficients kept in F's record
+    (`_block` over every code of degrees i and d - i).  Rows
     and columns run over the full monomial bases of the operator ring; the
     rank agrees with any quotient-basis version.  A form with few terms for
     the matrix's size (`_SPARSE_CELLS`) fills instead, per term b_e, the
@@ -246,15 +248,13 @@ def catalecticant(F: DualForm, i: int) -> ExactMatrix:
     record = _record(F)
     n, base, scaled = F.n, record.base, record.scaled
     rows, cols = _codes(n, i, base), _codes(n, d - i, base)
-    if _SPARSE_CELLS * len(scaled) < max(len(rows), len(cols)):
-        at, where = _positions(n, i, base), _positions(n, d - i, base)
-        ints = [[0] * len(cols) for _ in rows]
-        for code, b in scaled.items():
-            for u in _divisor_codes(code, n, base, i):
-                ints[at[u]][where[code - u]] = b
-    else:
-        lookup = scaled.get
-        ints = [[lookup(r + c, 0) for c in cols] for r in rows]
+    if _SPARSE_CELLS * len(scaled) >= max(len(rows), len(cols)):
+        return _block(F, rows, cols)
+    at, where = _positions(n, i, base), _positions(n, d - i, base)
+    ints = [[0] * len(cols) for _ in rows]
+    for code, b in scaled.items():
+        for u in _divisor_codes(code, n, base, i):
+            ints[at[u]][where[code - u]] = b
     return ExactMatrix._integral(ints, record.den, F.field)
 
 
@@ -286,17 +286,20 @@ def _divisor_codes(code: int, n: int, base: int, i: int) -> list[int]:
     return [u for u, _ in partial]
 
 
-def _basis_codes(F: DualForm, j: int) -> list[int]:
-    """The codes of B_j, in F's base: `quotient_basis(F, j)`.
+def _basis_codes(F: DualForm, j: int) -> tuple[int, ...]:
+    """The codes of B_j in F's base, kept in F's record: `quotient_basis(F, j)`.
 
-    When F's record already holds h and h_j = dim R_j, B_j is every
-    monomial of degree j, and no catalecticant is reduced for it.
+    B_j is the pivot columns of catalecticant(F, d - j), or every monomial
+    of degree j when the record already holds h and h_j = dim R_j; then no
+    catalecticant is reduced for it.
     """
     record = _record(F)
-    codes = _codes(F.n, j, record.base)
-    if record.h is not None and record.h[j] == len(codes):
-        return list(codes)
-    return [_code(e, record.base) for e in quotient_basis(F, j)]
+    if j not in record.bases:
+        codes = _codes(F.n, j, record.base)
+        if record.h is None or record.h[j] < len(codes):
+            codes = tuple(codes[c] for c in catalecticant(F, F.degree - j).pivot_columns())
+        record.bases[j] = codes
+    return record.bases[j]
 
 
 def _block(G: DualForm, rows: list[int], cols: list[int]) -> ExactMatrix:
@@ -382,7 +385,7 @@ def ann_degree(F: DualForm, i: int) -> list[Poly]:
     mons = monomials_of_degree(F.n, i)
     if i > F.degree:
         return [Poly.monomial(F.n, field, e) for e in mons]
-    h = F._record.h if F._record is not None else None
+    h = _record(F).h
     if h is not None and h[i] == len(mons):
         return []
     return [Poly(F.n, field, {e: c for e, c in zip(mons, v) if not field.is_zero(c)})
@@ -396,16 +399,13 @@ def quotient_basis(F: DualForm, i: int) -> list[tuple[int, ...]]:
     its catalecticant row is independent of the rows before it, so the
     result is the row rank profile, the pivot columns of the transpose,
     which is the (d-i)-th catalecticant.  The basis is kept in the form's
-    record, so a form reduces each catalecticant for it once.
+    record as codes (`_basis_codes`), so a form reduces each catalecticant
+    for it once, and none when the record holds h and h_i = dim R_i.
     """
-    d = F.degree
-    if not 0 <= i <= d:
-        raise ValueError(f"degree {i} outside 0..{d}")
-    bases = _record(F).bases
-    if i not in bases:
-        mons = monomials_of_degree(F.n, i)
-        bases[i] = tuple(mons[j] for j in catalecticant(F, d - i).pivot_columns())
-    return list(bases[i])
+    if not 0 <= i <= F.degree:
+        raise ValueError(f"degree {i} outside 0..{F.degree}")
+    mons, at = monomials_of_degree(F.n, i), _positions(F.n, i, _record(F).base)
+    return [mons[at[code]] for code in _basis_codes(F, i)]
 
 
 def contract(g: Poly, F: DualForm) -> DualForm | None:

@@ -10,9 +10,11 @@ and is eliminated only elsewhere.
 
 One search, `_search`, ranks x ell^k on a list of maps (i, k) for each ell
 it is given and makes the one `DegreeRecord` per map that `is_wl_element`
-(one ell) and both Lefschetz checks (seeded draws) report; a report stores
-the deficient maps and derives its verdict from them.  It ranks only what
-h leaves open, on the smallest matrix that has the rank:
+(one ell) and both Lefschetz checks (seeded draws) report.  A report is
+the search's outcome with its seed and field: it derives its verdict, and
+the WLP's failing degrees or the SLP's failing pairs, from the deficient
+maps it holds.  The search ranks only what h leaves open, on the smallest
+matrix that has the rank:
 - a map is forced, and never ranked, when k = 0 or when h_{i+k} or
   h_{d-i} is the dimension of the operator ring in its degree: the map is
   then injective or onto for every ell;
@@ -90,73 +92,6 @@ class DegreeRecord:
         }
 
 
-@dataclass
-class WlpReport:
-    h: HVector
-    records: list[DegreeRecord]
-    failing_degrees: tuple[int, ...]  # source degrees i of deficient maps
-    trials_used: int
-    seed: int
-    field_description: str
-    certificate_trial: int | None = None
-    certificate_form: str | None = None
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.FAILS if self.failing_degrees else Verdict.HOLDS
-
-    @property
-    def dual_failing_degrees(self) -> tuple[int, ...]:
-        """The mirrors d - i of the failing degrees under duality."""
-        return tuple(sorted({self.h.socle_degree - i for i in self.failing_degrees}))
-
-    def to_dict(self) -> dict:
-        return {
-            "h": list(self.h),
-            "sperner": self.h.sperner,
-            "socle_degree": self.h.socle_degree,
-            "records": [r.to_dict() for r in self.records],
-            "verdict": self.verdict.value,
-            "failing_degrees": list(self.failing_degrees),
-            "dual_failing_degrees": list(self.dual_failing_degrees),
-            "trials_used": self.trials_used,
-            "seed": self.seed,
-            "field": self.field_description,
-            "certificate_trial": self.certificate_trial,
-            "certificate_form": self.certificate_form,
-            "monte_carlo": "one maximal-rank sample certifies holds; uniform failure is probabilistic",
-        }
-
-
-@dataclass
-class SlpReport:
-    h: HVector
-    records: list[DegreeRecord]  # the k = d - 2i diagonal
-    failing_pairs: tuple[tuple[int, int], ...]  # (i, k) of deficient maps
-    trials_used: int
-    seed: int
-    field_description: str
-    certificate_trial: int | None = None
-    certificate_form: str | None = None
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.FAILS if self.failing_pairs else Verdict.HOLDS
-
-    def to_dict(self) -> dict:
-        return {
-            "h": list(self.h),
-            "records": [r.to_dict() for r in self.records],
-            "verdict": self.verdict.value,
-            "failing_pairs": [list(p) for p in self.failing_pairs],
-            "trials_used": self.trials_used,
-            "seed": self.seed,
-            "field": self.field_description,
-            "certificate_trial": self.certificate_trial,
-            "certificate_form": self.certificate_form,
-        }
-
-
 def mult_map_rank(F: DualForm, ell: Poly, i: int, k: int) -> int:
     """Rank of multiplication by ell^k from [A]_i to [A]_{i+k}.
 
@@ -166,30 +101,24 @@ def mult_map_rank(F: DualForm, ell: Poly, i: int, k: int) -> int:
     _require_linear(ell)
     if k < 0 or i < 0 or i + k > F.degree:
         raise ValueError(f"degrees out of range: i={i}, k={k}, d={F.degree}")
-    G = _power_chain(F, ell, k)[k]
+    G = _ell_power([F], ell, k)
     return 0 if G is None else catalecticant(G, i).rank()
 
 
-def _power_chain(F: DualForm, ell: Poly, top: int) -> list[DualForm | None]:
-    """ell^k o F for k = 0..top <= d, each entry ell applied to the one before.
+def _ell_power(chain: list[DualForm | None], ell: Poly, k: int) -> DualForm | None:
+    """ell^k o F, k <= d, where the caller's chain [F, ell o F, ...] is grown here as far as k.
 
     ell^k o F = ell o (ell^{k-1} o F), so no power of ell is expanded.  Once
     an entry is None (ell^k annihilates F) every later entry is None.
     """
-    chain: list[DualForm | None] = [F]
-    for _ in range(top):
+    while len(chain) <= k:
         chain.append(_times_ell(chain[-1], ell))
-    return chain
+    return chain[k]
 
 
 def _times_ell(G: DualForm | None, ell: Poly) -> DualForm | None:
     """ell o G, or None when G is None or of degree 0, where ell annihilates it."""
     return None if G is None or G.degree == 0 else contract(ell, G)
-
-
-def _require_prime_field(F: DualForm, what: str) -> None:
-    if not isinstance(F.field, PrimeField):
-        raise ValueError(f"{what} samples generic forms and needs a prime field")
 
 
 def is_wl_element(F: DualForm, ell: Poly) -> list[DegreeRecord]:
@@ -202,8 +131,11 @@ def _draws(F: DualForm, trials: int, seed: int):
     """The linear forms of trials 0..trials-1, drawn as each is needed.
 
     Trial t draws `random_linear_form` from Random(s_t), where s_t is the
-    t-th `getrandbits(63)` of Random(seed).
+    t-th `getrandbits(63)` of Random(seed).  A field that is not prime, or
+    no trials, is refused here, before anything is ranked.
     """
+    if not isinstance(F.field, PrimeField):
+        raise ValueError("the Lefschetz checks sample linear forms and need a prime field")
     if trials < 1:
         raise ValueError("need at least one trial")
     master = random.Random(seed)
@@ -211,7 +143,7 @@ def _draws(F: DualForm, trials: int, seed: int):
             for _ in range(trials))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class _Search:
     """Outcome of the trial loop over a list of maps (i, k)."""
 
@@ -221,6 +153,66 @@ class _Search:
     trials_used: int
     certificate_trial: int | None
     certificate_form: str | None
+
+
+@dataclass(kw_only=True)
+class _Report(_Search):
+    """A seeded Monte-Carlo check: the search's outcome, its seed and its field."""
+
+    seed: int
+    field_description: str
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.FAILS if self.misses else Verdict.HOLDS
+
+    def to_dict(self) -> dict:
+        return {
+            "h": list(self.h),
+            "records": [r.to_dict() for r in self.records],
+            "verdict": self.verdict.value,
+            "trials_used": self.trials_used,
+            "seed": self.seed,
+            "field": self.field_description,
+            "certificate_trial": self.certificate_trial,
+            "certificate_form": self.certificate_form,
+        }
+
+
+@dataclass(kw_only=True)
+class WlpReport(_Report):
+    """`wlp_check`'s report: a record per map x ell from [A]_i, i < d."""
+
+    @property
+    def failing_degrees(self) -> tuple[int, ...]:  # the source degrees i of the misses
+        return tuple(i for i, _ in self.misses)
+
+    @property
+    def dual_failing_degrees(self) -> tuple[int, ...]:
+        """The mirrors d - i of the failing degrees under duality."""
+        return tuple(sorted({self.h.socle_degree - i for i, _ in self.misses}))
+
+    def to_dict(self) -> dict:
+        return {
+            **super().to_dict(),
+            "sperner": self.h.sperner,
+            "socle_degree": self.h.socle_degree,
+            "failing_degrees": list(self.failing_degrees),
+            "dual_failing_degrees": list(self.dual_failing_degrees),
+            "monte_carlo": "one maximal-rank sample certifies holds; uniform failure is probabilistic",
+        }
+
+
+@dataclass(kw_only=True)
+class SlpReport(_Report):
+    """`slp_check`'s report: the records of the k = d - 2i diagonal."""
+
+    @property
+    def failing_pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.misses
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "failing_pairs": [list(p) for p in self.failing_pairs]}
 
 
 def _search(F: DualForm, maps: list[tuple[int, int]], decisive: set[tuple[int, int]],
@@ -238,10 +230,11 @@ def _search(F: DualForm, maps: list[tuple[int, int]], decisive: set[tuple[int, i
       its transpose, x ell^k from [A]_i, is onto, of rank h_{i+k}.
     Such a forced map is never ranked.  Any other map is ranked on the
     smallest matrix that has its rank: the block of the pairing matrix of
-    ell^k o F on rows B_i and columns B_{d-i-k} (`quotient_basis`), h_i x
-    h_{i+k}, since an operator in Ann(F) pairs to zero with ell^k o F.  The
-    contractions ell^k o F are a chain of contractions by ell, grown only as
-    far as the largest k a ranked map needs.
+    ell^k o F on rows B_i and columns B_{d-i-k}, h_i x h_{i+k}, since an
+    operator in Ann(F) pairs to zero with ell^k o F; the codes of the
+    quotient bases B_j are kept in F's record (`_basis_codes`).  The
+    contractions ell^k o F are a chain of contractions by ell (`_ell_power`),
+    grown only as far as the largest k a ranked map needs.
 
     In each trial the unforced maps of `decisive` are ranked first.  The
     caller's `decisive` maps must have maximal rank only when every map
@@ -259,7 +252,6 @@ def _search(F: DualForm, maps: list[tuple[int, int]], decisive: set[tuple[int, i
                 if k and h[i + k] < full[i + k] and h[d - i] < full[d - i]]
     first = [j for j in unforced if maps[j] in decisive]
     rest = [j for j in unforced if maps[j] not in decisive]
-    codes: dict[int, list[int]] = {}  # degree j -> the codes of B_j, once some map needs them
     best = [0 if j in unforced else e for j, e in enumerate(expected)]
     misses: set[tuple[int, int]] = set()
     certificate = None, None
@@ -267,10 +259,10 @@ def _search(F: DualForm, maps: list[tuple[int, int]], decisive: set[tuple[int, i
         chain = [F]
         achieved = list(expected)
         for j in first:
-            achieved[j] = _block_rank(chain, ell, codes, *maps[j])
+            achieved[j] = _block_rank(chain, ell, *maps[j])
         if achieved != expected:  # a decisive map fell short: rank the others too
             for j in rest:
-                achieved[j] = _block_rank(chain, ell, codes, *maps[j])
+                achieved[j] = _block_rank(chain, ell, *maps[j])
         if any(a > e for a, e in zip(achieved, expected)):
             raise InternalInconsistencyError("multiplication rank exceeded its bound")
         bad = {m for m, a, e in zip(maps, achieved, expected) if a < e}
@@ -280,23 +272,19 @@ def _search(F: DualForm, maps: list[tuple[int, int]], decisive: set[tuple[int, i
         best = list(map(max, best, achieved))
         misses |= bad
     records = [DegreeRecord(i, k, e, a) for (i, k), e, a in zip(maps, expected, best)]
-    return _Search(h, records, tuple(sorted(misses)), t + 1, *certificate)
+    return _Search(h=h, records=records, misses=tuple(sorted(misses)), trials_used=t + 1,
+                   certificate_trial=certificate[0], certificate_form=certificate[1])
 
 
-def _block_rank(chain: list[DualForm | None], ell: Poly, codes: dict, i: int, k: int) -> int:
+def _block_rank(chain: list[DualForm | None], ell: Poly, i: int, k: int) -> int:
     """The rank of x ell^k from [A]_i: ell^k o F on rows B_i and columns B_{d-i-k}.
 
-    `chain` holds F = ell^0 o F, ell o F, ... and is grown to ell^k o F here;
-    `codes` maps a degree j to the codes of B_j, and gains the ones it lacks.
+    `chain` holds F, ell o F, ..., grown by `_ell_power`; the codes of B_i and
+    B_{d-i-k} come from F's record (`_basis_codes`).
     """
-    d = chain[0].degree
-    while len(chain) <= k:
-        chain.append(_times_ell(chain[-1], ell))
-    for j in (i, d - i - k):
-        if j not in codes:
-            codes[j] = _basis_codes(chain[0], j)
-    G = chain[k]
-    return 0 if G is None else _block(G, codes[i], codes[d - i - k]).rank()
+    F, G = chain[0], _ell_power(chain, ell, k)
+    return 0 if G is None else _block(G, _basis_codes(F, i),
+                                      _basis_codes(F, F.degree - i - k)).rank()
 
 
 def _weak_search(F: DualForm, ells) -> _Search:
@@ -323,18 +311,8 @@ def wlp_check(F: DualForm, trials: int, seed: int) -> WlpReport:
     failure degrees are the union over trials of the deficient source
     degrees.
     """
-    _require_prime_field(F, "wlp_check")
     found = _weak_search(F, _draws(F, trials, seed))
-    return WlpReport(
-        h=found.h,
-        records=found.records,
-        failing_degrees=tuple(i for i, _ in found.misses),
-        trials_used=found.trials_used,
-        seed=seed,
-        field_description=F.field.describe(),
-        certificate_trial=found.certificate_trial,
-        certificate_form=found.certificate_form,
-    )
+    return WlpReport(**vars(found), seed=seed, field_description=F.field.describe())
 
 
 def slp_check(F: DualForm, trials: int, seed: int) -> SlpReport:
@@ -349,21 +327,12 @@ def slp_check(F: DualForm, trials: int, seed: int) -> SlpReport:
     the deficient ones are the failing pairs.  The reported records are the
     diagonal.
     """
-    _require_prime_field(F, "slp_check")
     d = F.degree
     pairs = [(i, k) for i in range(d + 1) for k in range(d - i + 1)]
     diagonal = {(i, d - 2 * i) for i in range(d // 2 + 1)}
-    found = _search(F, pairs, diagonal, _draws(F, trials, seed))
-    return SlpReport(
-        h=found.h,
-        records=[r for r in found.records if r.k == d - 2 * r.i],
-        failing_pairs=found.misses,
-        trials_used=found.trials_used,
-        seed=seed,
-        field_description=F.field.describe(),
-        certificate_trial=found.certificate_trial,
-        certificate_form=found.certificate_form,
-    )
+    found = vars(_search(F, pairs, diagonal, _draws(F, trials, seed)))
+    shown = [r for r in found["records"] if (r.i, r.k) in diagonal]
+    return SlpReport(**{**found, "records": shown}, seed=seed, field_description=F.field.describe())
 
 
 # -- Hessians ----------------------------------------------------------------
@@ -413,7 +382,7 @@ def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
             raise ValueError(f"coordinate {a} has a denominator that vanishes mod {p}")
         coordinates.append(field.from_fraction(a.numerator, a.denominator))
     ell = Poly(F.n, field, dict(zip(monomials_of_degree(F.n, 1), coordinates)))
-    G = _power_chain(F, ell, k)[k] if k == 0 or ell.terms else None
+    G = _ell_power([F], ell, k) if k == 0 or ell.terms else None
     codes = _basis_codes(F, i)
     if G is None:
         return ExactMatrix._integral([[0] * len(codes) for _ in codes], 1, field)

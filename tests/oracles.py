@@ -162,19 +162,19 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
     return ExactMatrix(rows, field).rank()
 
 
-def lefschetz_search_by_pairing(F: DualForm, maps: list[tuple[int, int]], trials: int, seed: int):
+def lefschetz_search_by_pairing(F: DualForm, h, maps: list[tuple[int, int]], trials: int,
+                                seed: int):
     """The seeded trial loop of `wlp_check` and `slp_check`, every map ranked by the pairing.
 
     Trial t draws ell = random_linear_form(n, field, Random(s_t)), s_t the
     t-th `getrandbits(63)` of Random(seed), and ranks x ell^k on every map
-    (i, k) by `mult_rank_by_pairing` against min(h_i, h_(i+k)) from
-    `hf_by_kernels`.  Returns (ranks by map, misses, trials used,
-    certificate trial, certificate form): the first ell of maximal rank on
-    every map gives its own ranks, no misses, its index and its text;
-    without one, the best rank per map and the sorted maps that some trial
-    left deficient, with no certificate.
+    (i, k) by `mult_rank_by_pairing` against min(h_i, h_(i+k)), where h is
+    F's h-vector as the caller found it (`hf_by_kernels`).  Returns (ranks
+    by map, misses, trials used, certificate trial, certificate form): the
+    first ell of maximal rank on every map gives its own ranks, no misses,
+    its index and its text; without one, the best rank per map and the
+    sorted maps that some trial left deficient, with no certificate.
     """
-    h = hf_by_kernels(F)
     master = random.Random(seed)
     best = dict.fromkeys(maps, 0)
     misses: set[tuple[int, int]] = set()

@@ -501,6 +501,39 @@ def test_ann_degree_ignores_a_warm_record(monkeypatch, text, n, field):
     assert all(cold_ann[i] == [] for i in full)
 
 
+@pytest.mark.parametrize("text, n, field", [
+    ("X1^2*X2", 2, QQ),                                # (1, 2, 2, 1): full in degrees 0, 1
+    ("X1^4 + X2^4 + X3^4 + X1*X2*X3^2 + 1/2*X1^2*X2^2", 3, QQ),
+    ("X1^3 + X1*X2^2 + 5*X2*X3^2", 3, GF(7)),
+    ("X1*X4^2 + X2*X4*X5 + X3*X5^2", 5, FP),           # (1, 5, 5, 1): full only in degree 0
+])
+def test_quotient_basis_ignores_a_warm_record(monkeypatch, text, n, field):
+    # a form whose record holds h gives B_j = every monomial of degree j where
+    # h_j = dim R_j, with no catalecticant, and the same bases as a cold form
+    # elsewhere; the codes the record keeps are those of the bases
+    poly = parse_poly(text, n, field)
+    cold = DualForm(poly)
+    d = cold.degree
+    cold_bases = [quotient_basis(cold, j) for j in range(d + 1)]
+    warm = DualForm(poly)
+    h = hilbert_function(warm)
+    full = [j for j in range(d + 1) if h[j] == comb(n - 1 + j, j)]
+    assert 0 < len(full) < d + 1
+    built = []
+
+    def counting(form, i):
+        built.append(i)
+        return catalecticant(form, i)
+
+    monkeypatch.setattr(duality, "catalecticant", counting)
+    assert [quotient_basis(warm, j) for j in range(d + 1)] == cold_bases
+    assert built == [d - j for j in range(d + 1) if j not in full]
+    for F in (cold, warm):
+        for j, basis in enumerate(cold_bases):
+            assert list(duality._basis_codes(F, j)) == [
+                duality._code(e, F._record.base) for e in basis]
+
+
 class TestContract:
     def test_linear_contraction(self):
         F = DF("X1*X2^2", 2)

@@ -33,7 +33,7 @@ from apolar import (
     snake_consistency,
     wlp_check,
 )
-from apolar.lefschetz import _power_chain
+from apolar.lefschetz import _ell_power
 from apolar.poly import Poly
 from oracles import (
     hessian_at_by_evaluation,
@@ -166,6 +166,16 @@ class TestWlpCheck:
         with pytest.raises(ValueError):
             wlp_check(DF("X1^2", 2), trials=1, seed=0)
 
+    @pytest.mark.parametrize("check", [wlp_check, slp_check])
+    @pytest.mark.parametrize("field, trials", [(QQ, 1), (FP, 0)])
+    def test_refusal_ranks_nothing(self, check, field, trials):
+        # the draws refuse a field that is not prime, and no trials, before
+        # the search ranks anything: the form's record holds no h-vector
+        F = DF("X1^2*X2 + X2^3", 2, field)
+        with pytest.raises(ValueError):
+            check(F, trials=trials, seed=0)
+        assert F._record is None or F._record.h is None
+
 
 class TestSlpCheck:
     def test_four_powers_holds(self):
@@ -291,7 +301,7 @@ def test_reports_agree_with_the_all_pairs_oracle(case):
         if report.verdict is Verdict.HOLDS and set(maps) - injective - onto - first:
             event(f"{name} certified by its decisive maps, unforced maps left unranked")
     for report, maps in ((wlp, wlp_maps), (slp, slp_maps)):
-        ranks, misses, used, trial, form = lefschetz_search_by_pairing(F, maps, trials, seed)
+        ranks, misses, used, trial, form = lefschetz_search_by_pairing(F, h, maps, trials, seed)
         assert (report.trials_used, report.certificate_trial, report.certificate_form) == (
             used, trial, form)
         assert report.verdict is (Verdict.FAILS if misses else Verdict.HOLDS)
@@ -788,7 +798,7 @@ def test_power_chain_matches_expanded_powers(case):
     # the snake inputs' ell may miss variables, and ell = x_n on an F free
     # of x_n (or of low degree in x_n) drives the chain to None early
     F, _, ell = case
-    chain = _power_chain(F, ell, F.degree)
+    _ell_power(chain := [F], ell, F.degree)
     assert len(chain) == F.degree + 1
     for k, G in enumerate(chain):
         want = diff_action(ell ** k, F.poly)
