@@ -10,9 +10,14 @@ initial ideals under lex; inverse-system samplers; and the
 trivial-extension dual forms whose algebras have h-vector
 (1, d+2, ..., d+2, 1) and fail the weak Lefschetz property.
 
+The prolongation stops at the first degree where the growth is maximal,
+since Gotzmann's persistence theorem then gives every later entry; each
+Hilbert function it returns is checked to be an O-sequence.
+
 The classifier and `gin2` sample nothing: every invariant they read is a
 rank, a kernel or a determinant.  The inverse-system samplers draw from a
-seed.
+seed.  A web over F_p holds its coefficients as residues, so every F_p
+matrix built here is made by the trusted `ExactMatrix._integral`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from enum import Enum
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import add, mul
 
+from .bounds import gotzmann_values, is_o_sequence, macaulay_bound
 from .duality import DualForm, hilbert_function
 from .errors import HypothesisViolationError, InternalInconsistencyError
 from .fields import DEFAULT_PRIME, QQ, PrimeField
@@ -99,18 +105,27 @@ class QuadricWeb:
     """A four-dimensional space of quadrics in four variables."""
 
     def __init__(self, quadrics):
+        """The web spanned by four independent quadrics over one field.
+
+        Over F_p each coefficient must be an int and is reduced mod p, so
+        that the matrices built from the web hold residues; any other
+        coefficient raises ValueError.
+        """
         quadrics = list(quadrics)
         if len(quadrics) != 4:
             raise ValueError("a quadric web needs exactly four generators")
         field = quadrics[0].field
-        for q in quadrics:
+        p = field.p if isinstance(field, PrimeField) else None
+        for k, q in enumerate(quadrics):
             if q.n != 4:
                 raise ValueError("web quadrics must live in four variables")
             if q.field != field:
                 raise ValueError("web quadrics must share one field")
+            if p is not None:
+                q = quadrics[k] = _residues(q, p)
             if q.is_zero() or not q.is_homogeneous() or q.degree() != 2:
                 raise ValueError("web generators must be nonzero quadrics")
-        if isinstance(field, PrimeField) and field.p == 2:
+        if p == 2:
             raise HypothesisViolationError(
                 "quadric webs need characteristic != 2: their symmetric matrices "
                 "halve the mixed coefficients"
@@ -133,7 +148,7 @@ class QuadricWeb:
         return web
 
     def coefficient_matrix(self) -> ExactMatrix:
-        return ExactMatrix(_ideal_rows(self.quadrics, 2)[1], self.field)
+        return _matrix(_ideal_rows(self.quadrics, 2)[1], self.field)
 
     def transformed(self, change: LinearChange) -> "QuadricWeb":
         """The web after substituting x -> M x in every quadric.
@@ -176,6 +191,30 @@ class QuadricWeb:
 
     def __repr__(self):
         return f"QuadricWeb({self.quadrics!r})"
+
+
+def _residues(q: Poly, p: int) -> Poly:
+    """`q` with every coefficient reduced mod p; a coefficient that is not an int raises."""
+    terms = {}
+    for e, c in q.terms.items():
+        if not isinstance(c, int):
+            raise ValueError(f"quadric coefficient {c!r} over GF({p}) is not an int")
+        c %= p
+        if c:
+            terms[e] = c
+    return Poly._trusted(q.n, q.field, terms)
+
+
+def _matrix(rows: list[list], field) -> ExactMatrix:
+    """The matrix of `rows` built by the catalog: trusted over F_p, checked over QQ.
+
+    Over F_p every builder here writes residues in [0, p): a web's
+    coefficients are reduced when it is made, and every later row is read
+    off them or off kernel vectors.
+    """
+    if isinstance(field, PrimeField):
+        return ExactMatrix._integral(rows, 1, field)
+    return ExactMatrix(rows, field)
 
 
 def orbit_representative(label: OrbitLabel, field=QQ) -> QuadricWeb:
@@ -228,11 +267,31 @@ def quadric_ideal_hf(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
     x_i o F, so the blocks give the next T_i without building a form; the
     first T_i are lookups in V_2's basis, since V_1 = D_1.  The last degree
     needs only the rank, and once some h_k is 0 every later entry is 0.
+
+    The prolongation also stops once the growth is maximal: I is generated
+    in degree 2, so when h_{k-1} = macaulay_bound(h_{k-2}, k-2) for some
+    k >= 4, Gotzmann's persistence theorem (Math. Z. 158, 1978) gives
+    h_t = gotzmann_values(h_{k-1}, k-1, t-k+1) for every t >= k.  Extending
+    the field changes no h, so this holds over F_p as well.  The FAST webs
+    reach it at k = 5 (8^<3> = 10), so they rank nothing above degree 4;
+    the SLOW and FLAT webs do not grow maximally from degree 3 to 4.  Over
+    F_p the rows hold residues and are negated as p - x, and the matrices
+    are built by the trusted `ExactMatrix._integral`.  The result must be an
+    O-sequence (`is_o_sequence`), as the Hilbert function of every standard
+    graded algebra is; one that is not raises InternalInconsistencyError.
     """
     if up_to < 2:
         raise ValueError("need up_to >= 2")
     field = web.field
-    zero, neg = field.zero, field.neg
+    zero = field.zero
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def negated(row):
+            return [p - x if x else 0 for x in row]
+    else:
+        def negated(row):
+            return list(map(field.neg, row))
     basis = web.coefficient_matrix().kernel_basis()
     out = [1, 4, len(basis)]
     col = {m: c for c, m in enumerate(monomials_of_degree(4, 2))}
@@ -245,7 +304,10 @@ def quadric_ideal_hf(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
         if not h:
             out += [0] * (up_to + 1 - k)
             break
-        minus = [[list(map(neg, row)) for row in ti] for ti in t]
+        if k >= 4 and h == macaulay_bound(out[-2], k - 2):
+            out += [gotzmann_values(h, k - 1, s) for s in range(1, up_to + 2 - k)]
+            break
+        minus = [[negated(row) for row in ti] for ti in t]
         rows = []
         for i, j in combinations(range(4), 2):
             for ti, tj in zip(t[i], minus[j]):
@@ -253,13 +315,16 @@ def quadric_ideal_hf(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
                 row[j * h:(j + 1) * h] = ti
                 row[i * h:(i + 1) * h] = tj
                 rows.append(row)
-        m = ExactMatrix(rows, field)
+        m = _matrix(rows, field)
         if k == up_to:
             out.append(4 * h - m.rank())
             break
         kernel = m.kernel_basis()
         out.append(len(kernel))
         t = [[[u[i * h + a] for u in kernel] for a in range(h)] for i in range(4)]
+    if not is_o_sequence(out)[0]:
+        raise InternalInconsistencyError(
+            f"web ideal Hilbert function {tuple(out)} is not an O-sequence")
     return tuple(out)
 
 
@@ -304,7 +369,7 @@ def _symmetric_matrices(quadrics, n: int) -> list:
 
 def _common_kernel(mats, field) -> list[list]:
     """Basis of the vectors k with S k = 0 for every member matrix S."""
-    return ExactMatrix([row for s in mats for row in s], field).kernel_basis()
+    return ExactMatrix._integral([row for s in mats for row in s], 1, field).kernel_basis()
 
 
 def _dual_pencil(mats, k, field):
@@ -322,7 +387,7 @@ def _dual_pencil(mats, k, field):
     kept = [j for j in range(4) if j != pivot]
     pairs = list(combinations_with_replacement(range(3), 2))
     rows = [[s[kept[a]][kept[b]] for a, b in pairs] for s in mats]
-    kernel = ExactMatrix(rows, field).kernel_basis()
+    kernel = ExactMatrix._integral(rows, 1, field).kernel_basis()
     if len(kernel) != 2:
         return None
     half = field.inv(2)
@@ -612,7 +677,7 @@ def inverse_system_sample(web: QuadricWeb, degree: int, seed: int) -> DualForm:
         raise ValueError("inverse-system sampling needs a prime field")
     field = web.field
     cols, rows = _ideal_rows(web.quadrics, degree, weighted=True)
-    kernel = ExactMatrix(rows, field).kernel_basis()
+    kernel = ExactMatrix._integral(rows, 1, field).kernel_basis()
     if not kernel:
         raise ValueError(f"the web has no inverse system in degree {degree}")
     rng = random.Random(seed)

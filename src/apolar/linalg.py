@@ -62,7 +62,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -75,8 +75,10 @@ class ExactMatrix:
     def __init__(self, entries, field):
         """The matrix of `entries`: ints over F_p, ints or Fractions over QQ.
 
-        Any other entry raises ValueError naming it and its position; over
-        F_p only the nonzero entries are checked.
+        Any other entry raises ValueError naming it and its position.  Over
+        F_p every cell is checked, zeros too, so a float or Fraction zero is
+        refused; the library's own F_p builders write residues and go
+        through `_integral` instead.
         """
         rows = [list(row) for row in entries]
         cols = len(rows[0]) if rows else 0
@@ -85,16 +87,10 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         if isinstance(field, PrimeField):
             den = 1
-            # only the nonzero entries are read: a sum of ints is an int, and
-            # a float or a Fraction among them makes the sum one as well
-            nonzero = list(chain.from_iterable(map(filter, repeat(None), rows)))
-            try:
-                exact = type(sum(nonzero)) is int
-            except TypeError:
-                exact = False
-            if not exact:
+            cells = list(chain.from_iterable(rows))
+            if not set(map(type, cells)) <= {int}:
                 _check_entries(rows, int, "an int")
-            if min(nonzero, default=0) < 0 or max(nonzero, default=0) >= field.p:
+            if min(cells, default=0) < 0 or max(cells, default=0) >= field.p:
                 rows = [[x % field.p for x in row] for row in rows]
         else:
             # `QQ.zero`, which every matrix builder here writes for a zero,

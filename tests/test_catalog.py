@@ -11,6 +11,8 @@ from apolar import (
     GENERIC_GIN2,
     GF,
     HF_FAST,
+    HF_FLAT,
+    HF_SLOW,
     QQ,
     SPECIAL_GIN2,
     DualForm,
@@ -131,6 +133,21 @@ class TestRepresentatives:
             QuadricWeb([parse_poly(t, 4, QQ)
                         for t in ("x1^2", "x2^2", "x1^2 + x2^2", "x3^2")])
 
+    def test_coefficients_reduced_mod_p(self):
+        quadrics = [Poly(4, GF(7), {e: c}) for e, c in (
+            ((2, 0, 0, 0), 9), ((1, 1, 0, 0), -1), ((0, 2, 0, 0), 1), ((0, 0, 2, 0), 1))]
+        web = QuadricWeb(quadrics)
+        assert [q.terms for q in web.quadrics] == [
+            {(2, 0, 0, 0): 2}, {(1, 1, 0, 0): 6}, {(0, 2, 0, 0): 1}, {(0, 0, 2, 0): 1}]
+        # a coefficient that vanishes mod p leaves a zero quadric
+        with pytest.raises(ValueError, match="nonzero quadrics"):
+            QuadricWeb(quadrics[:3] + [Poly(4, GF(7), {(0, 0, 2, 0): 7})])
+
+    def test_inexact_coefficient_rejected(self):
+        quadrics = [parse_poly(t, 4, GF(7)) for t in ("x1^2", "x1*x2", "x2^2")]
+        with pytest.raises(ValueError, match="coefficient 1.0 over GF\\(7\\) is not an int"):
+            QuadricWeb(quadrics + [Poly(4, GF(7), {(0, 0, 2, 0): 1.0})])
+
     def test_characteristic_two_rejected(self):
         with pytest.raises(HypothesisViolationError, match="characteristic"):
             QuadricWeb([parse_poly(t, 4, GF(2))
@@ -177,7 +194,7 @@ class TestQuadricIdealHF:
 
     def test_invariant_under_coordinate_change(self):
         rng = random.Random(12)
-        for label in (OrbitLabel.I, OrbitLabel.VI, OrbitLabel.VIII_X3SQ_X2X4):
+        for label in CATALOG_LABELS:
             web = orbit_representative(label, FP)
             g = random_linear_change(4, FP, rng)
             assert quadric_ideal_hf(web.transformed(g), 5) == EXPECTED_WEB_HF[label]
@@ -188,26 +205,60 @@ class TestQuadricIdealHF:
 
     @staticmethod
     def _shapes(monkeypatch, web, up_to):
-        """The Hilbert function and the shapes of the matrices it was read off."""
+        """The Hilbert function and the shapes of the matrices it was read off.
+
+        Every matrix passes through `_hold`, whether the public constructor
+        or the trusted `_integral` built it.
+        """
         shapes = []
+        hold = ExactMatrix._hold
 
-        class Recording(ExactMatrix):
-            def __init__(self, entries, field):
-                super().__init__(entries, field)
-                shapes.append((self.rows, self.cols))
+        def recording(self, ints, den, field):
+            hold(self, ints, den, field)
+            shapes.append((self.rows, self.cols))
 
-        monkeypatch.setattr(catalog, "ExactMatrix", Recording)
-        return quadric_ideal_hf(web, up_to), shapes
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactMatrix, "_hold", recording)
+            return quadric_ideal_hf(web, up_to), shapes
 
     def test_degree_two_runs_no_prolongation(self, monkeypatch):
         web = orbit_representative(OrbitLabel.I)
         assert self._shapes(monkeypatch, web, 2) == ((1, 4, 6), [(4, 10)])
 
     def test_prolongation_matrices_are_six_by_four_blocks(self, monkeypatch):
-        hf, shapes = self._shapes(monkeypatch, orbit_representative(OrbitLabel.IX, FP), 5)
-        assert hf == HF_FAST
-        assert shapes == [(4, 10)] + [(6 * hf[k - 2], 4 * hf[k - 1]) for k in (3, 4, 5)]
-        assert shapes[-1] == (48, 40)
+        # FAST webs grow maximally from degree 3 to 4 (8^<3> = 10), so Gotzmann
+        # persistence gives h_5 and they build no degree-5 matrix
+        last = {HF_FAST: (36, 32), HF_SLOW: (42, 32), HF_FLAT: (36, 24)}
+        for label in CATALOG_LABELS:
+            hf, shapes = self._shapes(monkeypatch, orbit_representative(label, FP), 5)
+            assert hf == EXPECTED_WEB_HF[label]
+            degrees = (3, 4) if hf == HF_FAST else (3, 4, 5)
+            assert shapes == [(4, 10)] + [(6 * hf[k - 2], 4 * hf[k - 1]) for k in degrees]
+            assert shapes[-1] == last[hf]
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(101), FP], ids=repr)
+    def test_persisted_hf_matches_ranks_of_ideal_matrices(self, field):
+        # the representatives, and over F_p a conjugate of each: FAST webs
+        # persist from degree 4 and SLOW webs from degree 5 on
+        rng = random.Random(27)
+        webs = []
+        for label in CATALOG_LABELS:
+            web = orbit_representative(label, field)
+            webs.append(web)
+            if field is not QQ:
+                webs.append(web.transformed(random_linear_change(4, field, rng)))
+        for web in webs:
+            ranks = quadric_ideal_hf_by_ranks(web, 7)
+            assert quadric_ideal_hf(web, 7) == ranks
+            assert quadric_ideal_hf(web, 5) == ranks[:6]
+
+    def test_hf_that_is_no_o_sequence_raises(self, monkeypatch):
+        # a rank two short in degree 5 gives FLAT h_5 = 8 > 6^<4> = 7
+        web = orbit_representative(OrbitLabel.II, FP)
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda self: rank(self) - 2)
+        with pytest.raises(InternalInconsistencyError, match="O-sequence"):
+            quadric_ideal_hf(web, 5)
 
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError, match="up_to >= 2"):

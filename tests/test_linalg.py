@@ -136,6 +136,9 @@ def test_unreduced_entries_mean_their_residues(entries, rank, det, pivots, kerne
     (QQ, [[Fraction(1, 2), 1], [1, 0.5]],
      "entry 0.5 at row 1, column 1 is not an int or a Fraction"),
     (QQ, [[0.0, 1]], "entry 0.0 at row 0, column 0 is not an int or a Fraction"),
+    # over F_p zeros are checked too, so an inexact zero never reaches the packer
+    (GF(7), [[0.0, 1, 1], [1, 1, 2], [1, 2, 1]], "entry 0.0 at row 0, column 0 is not an int"),
+    (GF(7), [[1, 1], [1, QQ.zero]], "entry Fraction(0, 1) at row 1, column 1 is not an int"),
 ])
 def test_constructor_rejects_inexact_entries(field, entries, message):
     with pytest.raises(ValueError, match=re.escape(message)):
