@@ -38,19 +38,22 @@ rows and columns left reach the elimination:
   without making a Fraction row.
 
 `rank` over QQ first tries a mod-p shadow when the rows left after the peel
-hold at least `_SHADOW_CELLS` cells: they are reduced mod DEFAULT_PRIME and
-ranked by `_eliminate_mod`.  The rank r mod p bounds the rank over QQ from
-below, since the r x r minor on the pivots mod p is a nonzero integer; so a
-full rank mod p is the rank over QQ.  A deficient one is certified from
-above by the kernel mod p on the side with fewer vectors: each vector is
-lifted to QQ by Wang's rational reconstruction (SYMSAC 1981) and checked
-with an exact integer product, and independent rational kernel vectors of
-that number show the rank is at most r.  Only when a lift or a product fails
-does Bareiss run as well.  The rows are integers by then, so no denominator
-can vanish mod p.  Only `rank` reads the shadow: the rank profile mod p can
-differ from the one over QQ, as [[p, 1]] pivots at column 0 over QQ and at
-column 1 mod p, so `det`, `pivot_columns` and `kernel_basis` always run
-Bareiss.
+hold at least `_SHADOW_CELLS` cells: they are reduced mod `_SHADOW_PRIME`,
+the largest prime below 2^28, and ranked by `_eliminate_mod`, whose slots
+are then 8 bytes wide for up to 127 rows or columns (17 at 2^61 - 1).  The
+rank r mod p bounds the rank over QQ from below, since the r x r minor on
+the pivots mod p is a nonzero integer; so a full rank mod p is the rank
+over QQ.  A deficient one is certified from above by the kernel mod p on
+the side with fewer vectors: each vector is lifted to QQ by Wang's rational
+reconstruction (SYMSAC 1981) and checked with an exact integer product, and
+independent rational kernel vectors of that number show the rank is at most
+r.  Neither bound depends on the size of p; a smaller p only lifts fewer
+kernels, whose entries must be n / d with |n| and d at most sqrt(p / 2).
+Only when a lift or a product fails does Bareiss run as well.  The rows are
+integers by then, so no denominator can vanish mod p.  Only `rank` reads
+the shadow: the rank profile mod p can differ from the one over QQ, as
+[[p, 1]] pivots at column 0 over QQ and at column 1 mod p, so `det`,
+`pivot_columns` and `kernel_basis` always run Bareiss.
 
 Matrices are dense lists: the ones at play are desk scale, and the sparse
 ones (ideal and inverse-system rows of a quadric web, catalecticants of
@@ -66,7 +69,7 @@ from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .fields import DEFAULT_PRIME, QQ, PrimeField
+from .fields import QQ, PrimeField
 
 
 class ExactMatrix:
@@ -201,17 +204,32 @@ class ExactMatrix:
         return _echelon(self, False)[0]
 
 
+#: The prime of the QQ rank's shadow, the largest below 2^28.  Its size
+#: is free: the certificate holds mod any prime, and only the lift's bound
+#: sqrt(p / 2) shrinks with it.  At 28 bits a slot of `_eliminate_mod` is
+#: 2 * 28 + bits(min(rows, cols)) + 1 bits, 8 bytes (one `struct` Q) for
+#: up to 127 rows or columns, and a row update multiplies by one 30-bit
+#: digit; at DEFAULT_PRIME = 2^61 - 1 the slot is 17 bytes and the digits
+#: three.  The Montgomery fold needs bits(p) < W / 2 = 32.
+_SHADOW_PRIME = 268435399
+
 #: Cells left after `_peel` from which `rank` over QQ tries the shadow.
 #: Below it a QQ rank is small, and Bareiss on a few integer rows costs less
-#: than reducing them mod p and, when they are deficient, lifting a kernel;
-#: at 512 cells or more (on the exactness workload, the stacked snake-ledger
-#: catalecticants) the shadow wins, deficient or not.  Measured on that
-#: workload at seed 5, three alternating 10 s pairs on 2 cores: a cutoff of 0
-#: instead of 512 left items_per_s flat (487-497 against 492-510), but
-#: raised item_p50_ms from 0.53-0.57 to 0.77-0.79, since the typical item's
-#: many small ranks all paid for the shadow, while item_tail_ms fell from
-#: 4.07-4.13 to 3.38-3.43, as the slowest items' ranks below 512 cells gain.
-_SHADOW_CELLS = 512
+#: than reducing them mod p and, when they are deficient, lifting a kernel.
+#: Swept on the exactness workload at seed 31, three rounds of 8 s runs on
+#: 2 cores, the parent (cutoff 512 at 2^61 - 1) at 510-528 items_per_s,
+#: item_p50_ms 0.52-0.54 and item_tail_ms 3.99-4.08; at this prime:
+#:   cutoff   items_per_s   item_p50_ms   item_tail_ms
+#:        0       633-697     0.69-0.75      2.47-2.59
+#:       64       691-716     0.53-0.57      2.47-2.54
+#:      128       696-719     0.52-0.56      2.54-2.57
+#:      256       669-679     0.54-0.58      2.96-3.02
+#:      512       615-624     0.54-0.55      3.99-4.03
+#: The cutoff trades the median item's many small ranks, on which Bareiss
+#: stays cheaper, against the slowest items' ranks of a few hundred cells,
+#: which the 8-byte shadow now wins; 128 keeps the median and most of the
+#: tail's gain.
+_SHADOW_CELLS = 128
 
 
 def _prepared(matrix: ExactMatrix):
@@ -232,7 +250,7 @@ def _prepared(matrix: ExactMatrix):
 
 
 def _certified_rank(sub, cols: int) -> int | None:
-    """The rank of the integer rows `sub`, `cols` wide, read mod DEFAULT_PRIME, or None.
+    """The rank of the integer rows `sub`, `cols` wide, read mod `_SHADOW_PRIME`, or None.
 
     The rank r mod p is a lower bound over QQ: the pivots mod p pick an
     r x r minor that is nonzero mod p, so a nonzero integer.  When r is
@@ -246,8 +264,13 @@ def _certified_rank(sub, cols: int) -> int | None:
     nonzero at its own free column and zero at the others: they are
     independent, and when every product vanishes the rank over QQ is at
     most r.  None when a lift or a product fails.
+
+    `rank` calls it from `_SHADOW_CELLS` = 128 cells on.  p is the 28-bit
+    `_SHADOW_PRIME`, so `_eliminate_mod` packs up to 127 rows or columns in
+    8-byte slots, and a kernel entry lifts when it is n / d with |n| and d
+    at most sqrt(p / 2), about 1.16 10^4.
     """
-    p = DEFAULT_PRIME
+    p = _SHADOW_PRIME
     residues = [[x % p for x in row] for row in sub]
     nonzero = [row for row in residues if any(row)]
     pivots = _eliminate_mod(nonzero, p, False)[0]

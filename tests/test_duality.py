@@ -588,12 +588,13 @@ class TestContract:
 @pytest.mark.parametrize("mixed", [False, True], ids=["all-over-p", "some-over-p"])
 def test_denominators_divisible_by_the_shadow_prime(mixed):
     # the record clears the denominators before any rank reduces its rows
-    # mod p = DEFAULT_PRIME, so a p in them is no special case.  With every
-    # coefficient over p the numerators keep their residues and the middle
-    # catalecticant, 35 x 35, is ranked mod p alone.  With p only under the
-    # terms in x1, x2 every other numerator vanishes mod p, the residues
-    # have rank at most 4, and the rank falls back to Bareiss
-    p = DEFAULT_PRIME
+    # mod the shadow's prime p = `linalg._SHADOW_PRIME`, so a p in them is
+    # no special case.  With every coefficient over p the numerators keep
+    # their residues and the middle catalecticant, 35 x 35, is ranked mod p
+    # alone.  With p only under the terms in x1, x2 every other numerator
+    # vanishes mod p, the residues have rank at most 4, and the rank falls
+    # back to Bareiss
+    p = linalg._SHADOW_PRIME
     rng = random.Random(19)
 
     def coefficient(e):
@@ -656,9 +657,10 @@ def _power_sum(field) -> Poly:
 
 def test_power_sum_ranks_are_certified_mod_p():
     # r = 4 <= d + 1 general powers give h = (1, 4, 4, 4, 4, 4, 1); the
-    # catalecticants of degrees 1, 2 and 3 hold at least 512 cells and are
-    # deficient, so each rank is certified by a lifted kernel, and Bareiss
-    # only ranks the single row of degree 0
+    # catalecticants of degrees 1, 2 and 3 hold at least `_SHADOW_CELLS`
+    # cells and are deficient, so each rank is certified by a lifted kernel;
+    # the single row of degree 0, 1 x 210 cells, is certified by its full
+    # rank mod p, so Bareiss never runs
     F = DualForm(_power_sum(QQ))
     certified, real = [], linalg._certified_rank
     with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss, \
@@ -667,9 +669,8 @@ def test_power_sum_ranks_are_certified_mod_p():
                               or certified[-1]):
         h = hilbert_function(F)
     assert tuple(h) == hf_by_kernels(F) == (1, 4, 4, 4, 4, 4, 1)
-    assert certified == [4, 4, 4]
-    assert all(len(sub) * len(sub[0]) < linalg._SHADOW_CELLS
-               for (sub, _), _ in bareiss.call_args_list)
+    assert certified == [4, 4, 4, 1]
+    assert not bareiss.called
     # the paper's theorem: Sperner number 4 <= d + 1 forces the WLP
     report = wlp_check(DualForm(_power_sum(FP)), trials=5, seed=23)
     assert report.verdict is Verdict.HOLDS, f"WLP FAILS at seed 23: {report.failing_degrees}"

@@ -406,8 +406,8 @@ def shadow_cases(draw):
     runs, sees the whole matrix.  `dense` rows are random; `product` plants
     a deficiency, the product of a rows x k and a k x cols matrix; `lifted`
     rows are b + p e with b such a product, k < min(rows, cols), so they are
-    deficient mod p = DEFAULT_PRIME and, for almost every e, of full rank
-    over QQ.
+    deficient mod the shadow's prime p = `linalg._SHADOW_PRIME` and, for
+    almost every e, of full rank over QQ.
     """
     kind = draw(st.sampled_from(["dense", "product", "lifted"]))
     size = st.one_of(st.integers(1, 12), st.integers(20, 32))
@@ -425,7 +425,7 @@ def shadow_cases(draw):
         ints = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
                 for i in range(rows)]
         if kind == "lifted":
-            ints = [[x + DEFAULT_PRIME * e for x, e in zip(row, lift)]
+            ints = [[x + linalg._SHADOW_PRIME * e for x, e in zip(row, lift)]
                     for row, lift in zip(ints, block(rows, cols))]
     return kind, ints, [rng.randint(1, 6) for _ in range(rows)]
 
@@ -439,9 +439,12 @@ def _planted(rows: int, cols: int, k: int, low: int, high: int, seed: str) -> li
 
 
 def _lifted(rows: int, cols: int, k: int, seed: str) -> list[list[int]]:
-    """A planted rank-k product plus p times a positive matrix: rank k mod p, full over QQ."""
+    """A planted rank-k product plus p times a positive matrix, p the shadow's prime.
+
+    Its rank is k mod p and full over QQ.
+    """
     rng = random.Random(seed)
-    return [[x + DEFAULT_PRIME * rng.randint(1, 9) for x in row]
+    return [[x + linalg._SHADOW_PRIME * rng.randint(1, 9) for x in row]
             for row in _planted(rows, cols, k, 1, 9, seed)]
 
 
@@ -449,27 +452,34 @@ def _dens(rows: int) -> list[int]:
     return [1 + i % 6 for i in range(rows)]
 
 
-#: Deficient shadows of at least 512 cells, the route `rank` must take and
-#: the rank over QQ: a rank-2 product whose kernel lifts and checks out;
-#: `lifted` rows whose kernel mod p lifts, on the left (rows < cols) and on
-#: the right (rows > cols), but not to a kernel over QQ; a rank-3 product of
-#: entries near 2^40, whose kernel has entries past the reconstruction bound.
+#: Deficient shadows of at least `linalg._SHADOW_CELLS` cells, the route
+#: `rank` must take and the rank over QQ, all mod the shadow's prime p: a
+#: rank-2 product whose kernel lifts and checks out; `lifted` rows whose
+#: kernel mod p lifts, on the left (rows < cols) and on the right
+#: (rows > cols), but not to a kernel over QQ; a rank-3 product of factors
+#: in [2^18, 2^19], whose kernel has entries past the reconstruction bound
+#: sqrt(p / 2) even at DEFAULT_PRIME = P; and one of factors in [2^8, 2^9],
+#: whose kernel entries lie between sqrt(p / 2) and sqrt(P / 2), so that it
+#: fails to lift only at the shadow's smaller prime.
 SHADOW_ROUTES = {
     "certified": (("product", _planted(24, 24, 2, 1, 9, "rank two"), _dens(24)), "certified", 2),
     "lifted wide": (("lifted", _lifted(24, 30, 3, "wide"), _dens(24)), "rejected", 24),
     "lifted tall": (("lifted", _lifted(30, 24, 3, "tall"), _dens(30)), "rejected", 24),
     "past the bound": (("product", _planted(24, 24, 3, 2**18, 2**19, "wide entries"), _dens(24)),
                        "unliftable", 3),
+    "between the bounds": (("product", _planted(24, 24, 3, 2**8, 2**9, "mid entries"), _dens(24)),
+                           "unliftable", 3),
 }
 
 
 @settings(max_examples=80, deadline=None)
 @given(shadow_cases())
-@example(("dense", [[DEFAULT_PRIME, 1]], [1]))  # pivots at column 0 over QQ, at 1 mod p
+@example(("dense", [[linalg._SHADOW_PRIME, 1]], [1]))  # pivots at column 0 over QQ, at 1 mod p
 @example(SHADOW_ROUTES["certified"][0])
 @example(SHADOW_ROUTES["lifted wide"][0])
 @example(SHADOW_ROUTES["lifted tall"][0])
 @example(SHADOW_ROUTES["past the bound"][0])
+@example(SHADOW_ROUTES["between the bounds"][0])
 def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
     # a full rank mod p certifies the rank over QQ, and so does a deficient
     # one whose kernel mod p lifts to a kernel over QQ; anything else falls
@@ -483,12 +493,12 @@ def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
     full = min(rows, cols)
     den = lcm(*dens)
     integral = [[x * (den // d) for x in row] for row, d in zip(ints, dens)]
-    shadow = len(column_rank_profile(integral, DEFAULT_PRIME))
+    shadow = len(column_rank_profile(integral, linalg._SHADOW_PRIME))
     if kind == "lifted":
         assume(len(pivots) == full)
         assert shadow < full
     certified = rows * cols >= linalg._SHADOW_CELLS and (
-        shadow == full or lifted_kernel_certifies(integral, DEFAULT_PRIME))
+        shadow == full or lifted_kernel_certifies(integral, linalg._SHADOW_PRIME))
     for m in (ExactMatrix(entries, QQ), ExactMatrix._integral(integral, den, QQ)):
         with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
             assert m.rank() == len(pivots)
@@ -510,3 +520,29 @@ def test_deficient_shadows_take_their_route(name):
     assert rank == expected
     assert lifts and bareiss.called == (route != "certified")
     assert (None in lifts) == (route == "unliftable")
+
+
+def test_a_kernel_between_the_bounds_lifts_at_the_default_prime():
+    # the trade the shadow's smaller prime makes: this kernel's entries are
+    # past its reconstruction bound, so `rank` runs Bareiss, but they lift at
+    # DEFAULT_PRIME, where the same rank would be certified
+    (_, ints, dens), _, expected = SHADOW_ROUTES["between the bounds"]
+    den = lcm(*dens)
+    integral = [[x * (den // d) for x in row] for row, d in zip(ints, dens)]
+    assert not lifted_kernel_certifies(integral, linalg._SHADOW_PRIME)
+    assert lifted_kernel_certifies(integral, DEFAULT_PRIME)
+    m = ExactMatrix._integral(integral, den, QQ)
+    with mock.patch.object(linalg, "_SHADOW_PRIME", DEFAULT_PRIME), \
+            mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
+        assert m.rank() == expected
+    assert not bareiss.called
+
+
+def test_shadow_prime_packs_a_127_wide_shadow_in_8_byte_slots():
+    q = linalg._SHADOW_PRIME
+    assert fields._is_prime(q) and q < 2**28
+    rng = random.Random(127)
+    rows = [[rng.randrange(1, q) for _ in range(127)] for _ in range(127)]
+    with mock.patch.object(linalg, "_slots", wraps=linalg._slots) as slots:
+        assert len(linalg._eliminate_mod(rows, q, False)[0]) == 127
+    assert slots.call_args.args[:2] == (q, 8)
