@@ -6,7 +6,8 @@ contraction presents the image algebra A/(0 : g).  The snake ledger reads
 its ranks off these h-vectors, each padded by zeros outside its degrees
 (`_padded_h`).  The ledger's one other rank, on C = A/(g), is pinned by
 them in every degree where ell or g maps onto [A]_{i+1} or annihilates F,
-and is eliminated only elsewhere.
+is read off dimensions of R where Ann(F) vanishes in degree i + 1, and is
+eliminated only elsewhere.
 
 One search, `_search`, ranks x ell^k on a list of maps (i, k) for each ell
 it is given and makes the one `DegreeRecord` per map that `is_wl_element`
@@ -472,13 +473,20 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
     g * x^w in degree i + 1, less h_B(i + 1 - s).  Both blocks of rows have
     known ranks and lie in the row space of catalecticant(F, i + 1), so
     max(rank_a(i), h_B(i + 1 - s)) <= r <= min(h_A(i + 1), rank_a(i) +
-    h_B(i + 1 - s)); r is eliminated only in the degrees where these
-    bounds differ.
+    h_B(i + 1 - s)).  Where these bounds differ and h_A(i + 1) = dim R_{i+1},
+    Ann(F) vanishes in degree i + 1 and catalecticant(F, i + 1) is injective,
+    so r = dim(ell R_i + g R_{i+1-s}).  R is a UFD and ell is prime, so that
+    is dim R_i when ell divides g (then g R_{i+1-s} lies in ell R_i), and
+    otherwise dim R_i + dim R_{i+1-s} - dim R_{i-s}, since then ell R_i meets
+    g R_{i+1-s} in ell g R_{i-s} (dim R_j = 0 for j < 0).  This holds over
+    QQ and every F_p.  r is eliminated only at the remaining degrees.
     """
     _require_linear(ell)
     B = contract(g, F)
     s, d = g.degree(), F.degree
     L = _times_ell(F, ell)
+    dim = [comb(F.n - 1 + j, j) for j in range(d + 2)]  # dim R_j
+    divides = None  # whether ell divides g, decided at the first degree that asks
     # degrees 0..d+1: dimensions of A and of B(-s), and the ranks of x ell
     # on A from degree i and on B from degree i - s
     h_a = _padded_h(F, d + 1)
@@ -497,11 +505,52 @@ def snake_consistency(F: DualForm, g: Poly, ell: Poly) -> SnakeLedger:
         # each is a combination of rows of catalecticant(F, i + 1), of rank
         # h_A(i + 1).  So their joint rank lies in [lo, hi]; the bounds meet
         # when x ell or x g maps onto [A]_{i+1}, when ell o F or g o F
-        # vanishes, and at i = d, and only otherwise are both blocks built.
+        # vanishes, and at i = d.  Otherwise, where Ann(F)_{i+1} = 0, the joint
+        # rank is dim(ell R_i + g R_{i+1-s}), and only elsewhere are both
+        # blocks built.
         lo = max(ranks_a[i], b_dims[1])
         hi = min(a_dims[1], ranks_a[i] + b_dims[1])
-        if lo < hi:
+        if lo < hi and a_dims[1] == dim[i + 1]:
+            if divides is None:
+                divides = _ell_divides(ell, g)
+            # lo < hi needs h_B(i + 1 - s) > 0, so i + 1 >= s here
+            lo = dim[i] if divides else dim[i] + dim[i + 1 - s] - (dim[i - s] if i >= s else 0)
+        elif lo < hi:
             lo = ExactMatrix._stacked([catalecticant(L, i), catalecticant(B, i + 1 - s)]).rank()
         records.append(SnakeRecord(i=i, dims_b=b_dims, dims_a=a_dims, dims_c=c_dims,
                                    rank_b=ranks_b[i], rank_a=ranks_a[i], rank_c=lo - b_dims[1]))
     return SnakeLedger(records)
+
+
+def _ell_divides(ell: Poly, g: Poly) -> bool:
+    """Whether the linear form ell divides the nonzero form g in R.
+
+    A constant g is never divisible.  A linear g is divisible exactly when
+    it is proportional to ell: the same support, and g_e ell_f = g_f ell_e
+    for a fixed e in it and every f.  Otherwise g is reduced modulo ell:
+    with ell_e != 0, each x_e is replaced by x_e - ell / ell_e, one power of
+    x_e at a time from the top, and ell divides g exactly when what is left,
+    free of x_e, is zero.
+    """
+    s, field = g.degree(), g.field
+    if s == 0:
+        return False
+    (unit, le), *others = ell.terms.items()
+    if s == 1:
+        ge = g.terms.get(unit)
+        return (g.terms.keys() == ell.terms.keys()
+                and all(field.mul(g.terms[u], le) == field.mul(ge, c) for u, c in others))
+    e = unit.index(1)
+    # x_e = sum_f r_f x_f on the hyperplane ell = 0, r_f = -ell_f / ell_e
+    steps = [(u.index(1), field.neg(field.div(c, le))) for u, c in others]
+    terms = dict(g.terms)
+    for power in range(s, 0, -1):
+        for exp in [x for x in terms if x[e] == power]:
+            c = terms.pop(exp)
+            for f, r in steps:
+                lowered = list(exp)
+                lowered[e] -= 1
+                lowered[f] += 1
+                lowered = tuple(lowered)
+                terms[lowered] = field.add(terms.get(lowered, field.zero), field.mul(c, r))
+    return all(field.is_zero(c) for c in terms.values())

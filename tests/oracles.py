@@ -10,7 +10,9 @@ block of the catalecticant of ell^k o F),
 multiplication ranks via the perfect pairing on quotient bases, whole
 Lefschetz reports by replaying their seeded trials with every map ranked
 that way (not read off the Hilbert functions of a chain of contractions), snake
-ledger ranks from those and from spans of naive pairing rows,
+ledger ranks from those and from spans of naive pairing rows, whether a
+linear form divides a form by restricting it to the hyperplane (not by
+reducing it one power of a variable at a time),
 coordinate changes by multiplying out linear factors one at a time,
 growth bounds via explicit lex-segment monomial counting, binomial
 expansions via exhaustive search, and pivot columns and determinants of
@@ -241,6 +243,23 @@ def substitute_naively(matrix, field, p: Poly) -> Poly:
                 term = term * image
         result = result + term
     return result
+
+
+def ell_divides_by_substitution(ell: Poly, g: Poly) -> bool:
+    """Whether the linear form ell divides the form g, by restricting g to ell = 0.
+
+    x_e, for the last variable with ell_e != 0, is replaced by
+    -sum_{f != e} (ell_f / ell_e) x_f with `substitute_naively`, every other
+    variable by itself; R / (ell) is the ring of the other variables, so ell
+    divides g exactly when the result is zero.
+    """
+    field, n = g.field, g.n
+    coords = [ell.coefficient(tuple(int(k == j) for k in range(n))) for j in range(n)]
+    e = max(j for j in range(n) if coords[j])
+    matrix = [[field.one if k == j else field.zero for k in range(n)] for j in range(n)]
+    matrix[e] = [field.zero if k == e else field.neg(field.div(coords[k], coords[e]))
+                 for k in range(n)]
+    return substitute_naively(matrix, field, g).is_zero()
 
 
 def in_span_of_ann(F: DualForm, p: Poly, i: int) -> bool:

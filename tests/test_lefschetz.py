@@ -33,9 +33,12 @@ from apolar import (
     snake_consistency,
     wlp_check,
 )
+from apolar import lefschetz
 from apolar.lefschetz import _ell_power
+from apolar.linalg import ExactMatrix
 from apolar.poly import Poly
 from oracles import (
+    ell_divides_by_substitution,
     hessian_at_by_evaluation,
     hessian_by_differentiation,
     hf_by_kernels,
@@ -788,6 +791,122 @@ def test_snake_ledger_agrees_with_naive_ranks(case):
     ledger = snake_consistency(F, g, ell)
     got = [(r.rank_b, r.rank_a, r.rank_c) for r in ledger.records]
     assert got == snake_ranks_naive(F, g, ell)
+
+
+def generic_poly(n, degree, field, rng):
+    """Every monomial of the degree, each with a nonzero coefficient from rng.
+
+    Over QQ the coefficients are non-integral fractions.
+    """
+    if field == QQ:
+        return Poly(n, field, {m: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 6))
+                               for m in monomials_of_degree(n, degree)})
+    return Poly(n, field, {m: rng.randrange(1, field.p) for m in monomials_of_degree(n, degree)})
+
+
+@st.composite
+def ell_dividing_inputs(draw):
+    """A generic F, a random ell and g = ell * q or ell^s over QQ, GF(7) or the default prime.
+
+    F carries every monomial of its degree d <= 6 in n <= 4 variables, so
+    Ann(F) vanishes in the low degrees, where the ledger reads rank_c off
+    the dimensions of R; ell has a random nonempty support.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    F = DualForm(generic_poly(n, d, field, rng))
+    units = monomials_of_degree(n, 1)
+    support = draw(st.lists(st.sampled_from(units), min_size=1, max_size=n, unique=True))
+    ell = Poly(n, field, {u: generic_poly(n, 1, field, rng).terms[u] for u in support})
+    s = draw(st.integers(1, d))
+    g = ell ** s if draw(st.booleans()) else ell * generic_poly(n, s - 1, field, rng)
+    return F, g, ell
+
+
+@settings(max_examples=100, deadline=None)
+@given(ell_dividing_inputs())
+# ell does not divide g: a linear g on ell's support, and a quadric g
+@example((DualForm(generic_poly(3, 5, QQ, random.Random(1))), parse_poly("x1 + 2*x2 + x3", 3),
+          parse_poly("x1 - x2 + 1/3*x3", 3)))
+@example((DualForm(generic_poly(3, 5, GF(7), random.Random(2))), parse_poly("x1*x2 + x3^2", 3, GF(7)),
+          parse_poly("x1 + x2 + 2*x3", 3, GF(7))))
+# ell divides a quadric g
+@example((DualForm(generic_poly(3, 5, FP, random.Random(3))),
+          parse_poly("x1^2 - 2*x1*x2 + 2*x1*x3 - 2*x2*x3 + x3^2", 3, FP),
+          parse_poly("x1 - 2*x2 + x3", 3, FP)))
+# a constant g: h_B = h_A, so the bounds pin every degree and ell | g is never asked
+@example((DualForm(generic_poly(3, 4, QQ, random.Random(4))), parse_poly("3/4", 3),
+          parse_poly("x2 - 1/2*x3", 3)))
+# Ann(F) vanishes up to degree 1 only: degree 0 reads rank_c off dimensions, degree 1 eliminates
+@example((DF("X1*X4^2 + X2*X4*X5 + X3*X5^2 + X6^3", 6), parse_poly("x1 + x2 - x6", 6),
+          parse_poly("x1 + 2*x2 + 3*x3 - x4 + x5 + x6", 6)))
+def test_snake_ledger_with_ell_dividing_g(case):
+    F, g, ell = case
+    ledger = snake_consistency(F, g, ell)
+    got = [(r.rank_b, r.rank_a, r.rank_c) for r in ledger.records]
+    assert got == snake_ranks_naive(F, g, ell)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), FP], ids=["QQ", "GF7", "FP"])
+def test_ell_divides_agrees_with_substitution(field):
+    rng = random.Random(29)
+    cases = [(parse_poly("x1 + x2", 2, field), parse_poly("5", 2, field)),
+             (parse_poly("x1 + x2", 2, field), parse_poly("3*x1 + 3*x2", 2, field)),
+             (parse_poly("x1 + x2", 2, field), parse_poly("3*x1 + 2*x2", 2, field)),
+             (parse_poly("x1 + x2", 2, field), parse_poly("x1", 2, field)),
+             (parse_poly("x2", 3, field), parse_poly("x1*x2 + x2*x3", 3, field)),
+             (parse_poly("x2", 3, field), parse_poly("x1*x2 + x3^2", 3, field))]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        terms = {u: c for u, c in generic_poly(n, 1, field, rng).terms.items() if rng.random() < 0.7}
+        ell = Poly(n, field, terms) if terms else Poly.variable(n, field, n)
+        s = rng.randint(1, 4)
+        cases += [(ell, ell * generic_poly(n, s - 1, field, rng)), (ell, ell ** s),
+                  (ell, generic_poly(n, s, field, rng)),
+                  (ell, ell * generic_poly(n, s - 1, field, rng) + generic_poly(n, s, field, rng))]
+    answers = [lefschetz._ell_divides(ell, g) for ell, g in cases if not g.is_zero()]
+    assert answers == [ell_divides_by_substitution(ell, g) for ell, g in cases if not g.is_zero()]
+    assert answers[:6] == [False, True, False, False, True, False]
+    assert True in answers[6:] and False in answers[6:]
+
+
+@pytest.mark.parametrize("F, g, ell, eliminated", [
+    (DualForm(generic_poly(3, 5, QQ, random.Random(5))), parse_poly("x1 - x3", 3),
+     parse_poly("x2 + 3*x3", 3), 0),
+    (DualForm(generic_poly(3, 6, GF(7), random.Random(6))), parse_poly("x1^2 + 2*x2*x3", 3, GF(7)),
+     parse_poly("x1 + x2 + x3", 3, GF(7)), 0),
+    (DualForm(generic_poly(4, 4, FP, random.Random(7))), parse_poly("x1*x2 - x3*x4", 4, FP),
+     parse_poly("x1 + 2*x4", 4, FP), 0),
+    # h = (1, 6, 6, 1): h_j = dim R_j up to j = 1 only, so degree i = 1 eliminates
+    (DF("X1*X4^2 + X2*X4*X5 + X3*X5^2 + X6^3", 6, FP), parse_poly("x1 + x2 - x6", 6, FP),
+     parse_poly("x1 + 2*x2 + 3*x3 - x4 + x5 + x6", 6, FP), 1),
+])
+def test_snake_ledger_stacks_only_where_ann_does_not_vanish(monkeypatch, F, g, ell, eliminated):
+    # where h_A(i + 1) = dim R_{i+1} the rank on C is read off dimensions of
+    # R, with no stacked matrix, and ell | g is decided once, when first asked
+    stacked, divides = ExactMatrix._stacked.__func__, lefschetz._ell_divides
+    built, asked = [], []
+
+    def counting(cls, blocks):
+        built.append(blocks[0].rows)  # catalecticant(ell o F, i), dim R_i rows
+        return stacked(cls, blocks)
+
+    def asking(ell, g):
+        asked.append(g)
+        return divides(ell, g)
+
+    monkeypatch.setattr(ExactMatrix, "_stacked", classmethod(counting))
+    monkeypatch.setattr(lefschetz, "_ell_divides", asking)
+    ledger = snake_consistency(F, g, ell)
+    dims = [comb(F.n - 1 + j, j) for j in range(F.degree + 2)]
+    h = hilbert_function(F)
+    degrees = [dims.index(rows) for rows in built]
+    assert all(h[i + 1] < dims[i + 1] for i in degrees)
+    assert len(asked) == 1
+    assert len(built) == eliminated
+    assert [(r.rank_b, r.rank_a, r.rank_c) for r in ledger.records] == snake_ranks_naive(F, g, ell)
 
 
 @settings(max_examples=150, deadline=None)
