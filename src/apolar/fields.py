@@ -178,5 +178,10 @@ def field_from_description(text: str):
     if text == "fp":
         return PrimeField(DEFAULT_PRIME)
     if text.startswith("fp:"):
-        return PrimeField(int(text[3:]))
+        try:
+            p = int(text[3:])
+        except ValueError:
+            pass
+        else:
+            return PrimeField(p)
     raise ValueError(f"unknown field descriptor {text!r} (expected q, fp or fp:PRIME)")

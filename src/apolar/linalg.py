@@ -43,17 +43,12 @@ the largest prime below 2^28, and ranked by `_eliminate_mod`, whose slots
 are then 8 bytes wide for up to 127 rows or columns (17 at 2^61 - 1).  The
 rank r mod p bounds the rank over QQ from below, since the r x r minor on
 the pivots mod p is a nonzero integer; so a full rank mod p is the rank
-over QQ.  A deficient one is certified from above by the kernel mod p on
-the side with fewer vectors: each vector is lifted to QQ by Wang's rational
-reconstruction (SYMSAC 1981) and checked with an exact integer product, and
-independent rational kernel vectors of that number show the rank is at most
-r.  Neither bound depends on the size of p; a smaller p only lifts fewer
-kernels, whose entries must be n / d with |n| and d at most sqrt(p / 2).
-Only when a lift or a product fails does Bareiss run as well.  The rows are
-integers by then, so no denominator can vanish mod p.  Only `rank` reads
-the shadow: the rank profile mod p can differ from the one over QQ, as
-[[p, 1]] pivots at column 0 over QQ and at column 1 mod p, so `det`,
-`pivot_columns` and `kernel_basis` always run Bareiss.
+over QQ.  A deficient shadow proves nothing, as p may divide every larger
+minor, and Bareiss ranks the rows.  The rows are integers by then, so no
+denominator can vanish mod p.  Only `rank` reads the shadow: the rank
+profile mod p can differ from the one over QQ, as [[p, 1]] pivots at
+column 0 over QQ and at column 1 mod p, so `det`, `pivot_columns` and
+`kernel_basis` always run Bareiss.
 
 Matrices are dense lists: the ones at play are desk scale, and the sparse
 ones (ideal and inverse-system rows of a quadric web, catalecticants of
@@ -66,8 +61,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from math import gcd, isqrt, lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
 
 from .fields import QQ, PrimeField
 
@@ -164,19 +158,17 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
 
     def rank(self) -> int:
-        """The rank; over QQ certified mod p, as the module docstring says, when it pays.
+        """The rank; over QQ read mod p first, as the module docstring says, when it pays.
 
         A QQ matrix whose rows left after the peel hold at least
-        `_SHADOW_CELLS` cells is ranked by `_certified_rank`, and by Bareiss
-        only when that certifies nothing.
+        `_SHADOW_CELLS` cells and have full rank mod `_SHADOW_PRIME` has that
+        rank; every other QQ rank is Bareiss's.
         """
         peeled, _, keep, sub = _prepared(self)
         if isinstance(self.field, PrimeField):
             return len(peeled) + len(_eliminate_mod(sub, self.field.p, False)[0])
-        if len(sub) * len(keep) >= _SHADOW_CELLS:
-            rank = _certified_rank(sub, len(keep))
-            if rank is not None:
-                return len(peeled) + rank
+        if len(sub) * len(keep) >= _SHADOW_CELLS and _full_rank_mod(sub, len(keep)):
+            return len(peeled) + min(len(sub), len(keep))
         return len(peeled) + len(_eliminate_int(_primitive(sub, self._den)[0], False)[0])
 
     def det(self):
@@ -194,31 +186,48 @@ class ExactMatrix:
         and at each pivot column minus the entry x at f of its reduced row,
         -x mod p or -x / scale.  A peeled pivot column keeps its 0.
         """
-        F = self.field
+        F, cols = self.field, self.cols
         p = F.p if isinstance(F, PrimeField) else None
         pivots, _, keep, rows, scale = _echelon(self, True)
-        return _kernel(self.cols, pivots, keep, rows, F.zero, F.one, p, scale)
+        position = {c: j for j, c in enumerate(keep)}
+        pivot_set = set(pivots)
+        basis = []
+        for fc in range(cols):
+            if fc in pivot_set:
+                continue
+            v = [F.zero] * cols
+            v[fc] = F.one
+            j = position.get(fc)
+            if j is not None:  # else fc is a zero column
+                for pc, row in rows:
+                    x = row[j]
+                    if x:
+                        v[pc] = -x % p if p else Fraction(-x, scale)
+            basis.append(v)
+        return basis
 
     def pivot_columns(self) -> list[int]:
         """Column indices of the pivots of the row echelon form."""
         return _echelon(self, False)[0]
 
 
-#: The prime of the QQ rank's shadow, the largest below 2^28.  Its size
-#: is free: the certificate holds mod any prime, and only the lift's bound
-#: sqrt(p / 2) shrinks with it.  At 28 bits a slot of `_eliminate_mod` is
-#: 2 * 28 + bits(min(rows, cols)) + 1 bits, 8 bytes (one `struct` Q) for
-#: up to 127 rows or columns, and a row update multiplies by one 30-bit
-#: digit; at DEFAULT_PRIME = 2^61 - 1 the slot is 17 bytes and the digits
-#: three.  The Montgomery fold needs bits(p) < W / 2 = 32.
+#: The prime of the QQ rank's shadow, the largest below 2^28.  A full rank
+#: mod any prime is the rank over QQ, so the prime's size sets only the slot
+#: width and the chance of an unlucky prime, one that divides every maximal
+#: minor of a matrix of full rank over QQ and so sends it to Bareiss.  At 28
+#: bits a slot of `_eliminate_mod` is 2 * 28 + bits(min(rows, cols)) + 1
+#: bits, 8 bytes (one `struct` Q) for up to 127 rows or columns, and a row
+#: update multiplies by one 30-bit digit; at DEFAULT_PRIME = 2^61 - 1 the
+#: slot is 17 bytes and the digits three.  The Montgomery fold needs
+#: bits(p) < W / 2 = 32.
 _SHADOW_PRIME = 268435399
 
 #: Cells left after `_peel` from which `rank` over QQ tries the shadow.
 #: Below it a QQ rank is small, and Bareiss on a few integer rows costs less
-#: than reducing them mod p and, when they are deficient, lifting a kernel.
-#: Swept on the exactness workload at seed 31, three rounds of 8 s runs on
-#: 2 cores, the parent (cutoff 512 at 2^61 - 1) at 510-528 items_per_s,
-#: item_p50_ms 0.52-0.54 and item_tail_ms 3.99-4.08; at this prime:
+#: than reducing them mod p first.  Swept on the exactness workload at seed
+#: 31, three rounds of 8 s runs on 2 cores, the parent (cutoff 512 at
+#: 2^61 - 1) at 510-528 items_per_s, item_p50_ms 0.52-0.54 and item_tail_ms
+#: 3.99-4.08; at this prime:
 #:   cutoff   items_per_s   item_p50_ms   item_tail_ms
 #:        0       633-697     0.69-0.75      2.47-2.59
 #:       64       691-716     0.53-0.57      2.47-2.54
@@ -227,8 +236,10 @@ _SHADOW_PRIME = 268435399
 #:      512       615-624     0.54-0.55      3.99-4.03
 #: The cutoff trades the median item's many small ranks, on which Bareiss
 #: stays cheaper, against the slowest items' ranks of a few hundred cells,
-#: which the 8-byte shadow now wins; 128 keeps the median and most of the
-#: tail's gain.
+#: which the 8-byte shadow wins; 128 keeps the median and most of the
+#: tail's gain.  The sweep ran with a route, since deleted, that lifted a
+#: deficient shadow's kernel to QQ before Bareiss; nearly every shadow of
+#: that workload is full, so the sweep was not rerun.
 _SHADOW_CELLS = 128
 
 
@@ -249,116 +260,16 @@ def _prepared(matrix: ExactMatrix):
     return peeled, rest, list(compress(range(cols), kept)), sub
 
 
-def _certified_rank(sub, cols: int) -> int | None:
-    """The rank of the integer rows `sub`, `cols` wide, read mod `_SHADOW_PRIME`, or None.
+def _full_rank_mod(sub, cols: int) -> bool:
+    """Whether the integer rows `sub`, `cols` wide, have rank min(rows, cols) mod `_SHADOW_PRIME`.
 
-    The rank r mod p is a lower bound over QQ: the pivots mod p pick an
-    r x r minor that is nonzero mod p, so a nonzero integer.  When r is
-    short of min(rows, cols), the kernel mod p on the side with fewer
-    vectors bounds it from above: the left kernel when rows <= cols, read
-    off the transpose of the pivot columns (which has the same left kernel
-    mod p as the whole matrix), and otherwise the right kernel.  Each vector
-    of its reduced-echelon basis is lifted by `_lift` and checked with an
-    exact integer product against `sub`.  The lift maps 0 to 0 and a
-    nonzero residue to a nonzero integer, so each lifted vector stays
-    nonzero at its own free column and zero at the others: they are
-    independent, and when every product vanishes the rank over QQ is at
-    most r.  None when a lift or a product fails.
-
-    `rank` calls it from `_SHADOW_CELLS` = 128 cells on.  p is the 28-bit
-    `_SHADOW_PRIME`, so `_eliminate_mod` packs up to 127 rows or columns in
-    8-byte slots, and a kernel entry lifts when it is n / d with |n| and d
-    at most sqrt(p / 2), about 1.16 10^4.
+    The pivots mod p pick an r x r minor that is nonzero mod p, so a nonzero
+    integer: a full rank mod p is the rank over QQ.  The rows are reduced
+    mod p, the zero ones dropped, and the rest ranked by one `_eliminate_mod`.
     """
     p = _SHADOW_PRIME
-    residues = [[x % p for x in row] for row in sub]
-    nonzero = [row for row in residues if any(row)]
-    pivots = _eliminate_mod(nonzero, p, False)[0]
-    r = len(pivots)
-    if r == min(len(sub), cols):
-        return r
-    left = len(sub) <= cols
-    n = len(sub) if left else cols
-    system = [[row[c] for row in residues] for c in pivots] if left else nonzero
-    found, _, rows = _eliminate_mod(system, p, True)
-    for v in _kernel(n, found, range(n), list(zip(found, rows)), 0, 1, p, 1):
-        y = _lift(v, p)
-        if y is None:
-            return None
-        if left:
-            total = [0] * cols
-            for x, row in zip(y, sub):
-                if x:
-                    total = [t + x * a for t, a in zip(total, row)]
-            if any(total):
-                return None
-        elif any(sum(map(mul, row, y)) for row in sub):
-            return None
-    return r
-
-
-def _kernel(cols: int, pivots, keep, rows, zero, one, p: int | None, scale: int) -> list[list]:
-    """Basis of the right kernel {v : M v = 0} of a `cols`-wide M, read off its reduced rows.
-
-    `pivots` are M's pivot columns and `rows` pairs each pivot column the
-    elimination found with its reduced row on the columns `keep`, times
-    `scale`; a pivot column without an entry in `rows` has the unit row.
-    One vector per free column f: `one` there, `zero` at the other free
-    columns, and at each pivot column minus the entry x at f of its reduced
-    row, -x mod p or, with p None, -x / scale.  A peeled pivot column keeps
-    its `zero`.
-    """
-    position = {c: j for j, c in enumerate(keep)}
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [zero] * cols
-        v[fc] = one
-        j = position.get(fc)
-        if j is not None:  # else fc is a zero column
-            for pc, row in rows:
-                x = row[j]
-                if x:
-                    v[pc] = -x % p if p else Fraction(-x, scale)
-        basis.append(v)
-    return basis
-
-
-def _lift(v: list[int], p: int) -> list[int] | None:
-    """Integers y with y = D v mod p for one D prime to p, found entry by entry, or None.
-
-    Each entry is read by Wang's rational reconstruction (SYMSAC 1981): a
-    residue a is n / d with |n| and d at most sqrt(p / 2), found by the
-    half-extended Euclidean algorithm on (p, a).  A running common
-    denominator D comes first: a D mod p is tried as a small signed integer,
-    and only an entry that is not one is reconstructed, its d then joining
-    D and every entry lifted so far.  Every d is below p, so D is prime to
-    p, and 0 lifts to 0 and a nonzero residue to a nonzero integer.  None
-    when an entry has no such n / d.
-    """
-    bound = isqrt(p // 2)
-    den = 1
-    y = []
-    for a in v:
-        if a:
-            a = a * den % p
-            if a > bound:
-                if a >= p - bound:
-                    a -= p
-                else:
-                    r0, r1, t0, t1 = p, a, 0, 1  # r_k = t_k a mod p throughout
-                    while r1 > bound:
-                        q = r0 // r1
-                        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-                    if abs(t1) > bound:
-                        return None
-                    a, d = (r1, t1) if t1 > 0 else (-r1, -t1)
-                    den *= d
-                    y = [x * d for x in y]
-        y.append(a)
-    return y
+    nonzero = [row for row in ([x % p for x in row] for row in sub) if any(row)]
+    return len(_eliminate_mod(nonzero, p, False)[0]) == min(len(sub), cols)
 
 
 def _echelon(matrix: ExactMatrix, reduced: bool):

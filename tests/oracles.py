@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial, isqrt, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from apolar import (
     GENERIC_GIN2,
@@ -316,66 +316,6 @@ def reduced_row_echelon(entries, p: int | None = None) -> tuple[list[int], list[
                 m[i] = [norm(a - f * b) for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return pivots, m[:len(pivots)]
-
-
-def rational_reconstruction(a: int, p: int) -> tuple[int, int] | None:
-    """(n, d) with n = a d mod p, |n| <= sqrt(p / 2) and 0 < d <= sqrt(p / 2), or None.
-
-    Wang's algorithm (SYMSAC 1981): the extended Euclidean algorithm on
-    (p, a), stopped at the first remainder within the bound, with its
-    cofactor as d.  The fraction is not reduced.
-    """
-    bound = isqrt(p // 2)
-    (r0, t0), (r1, t1) = (p, 0), (a % p, 1)
-    while r1 > bound:
-        q = r0 // r1
-        (r0, t0), (r1, t1) = (r1, t1), (r0 - q * r1, t0 - q * t1)
-    if abs(t1) > bound:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def lifted_kernel_certifies(ints: list[list[int]], p: int) -> bool:
-    """Whether the kernel mod p of the integer rows lifts to a kernel over QQ.
-
-    The reference for what `ExactMatrix.rank` over QQ accepts when the rows
-    are deficient mod p.  The kernel is the left one when rows <= cols and
-    the right one otherwise, each vector 1 at its own free column of the
-    reduced row echelon form mod p and 0 at the others.  Its entries are
-    read in order: an entry times the vector's running denominator D is kept
-    when it is a signed integer within sqrt(p / 2), else rebuilt by
-    `rational_reconstruction` as n / d and D becomes D d.  Each entry is
-    then the Fraction n / D of the D it was read at, and the vector must
-    annihilate the rows exactly, in Fraction arithmetic.
-    """
-    rows, cols = len(ints), len(ints[0])
-    left = rows <= cols
-    system = [list(col) for col in zip(*ints)] if left else ints
-    n = rows if left else cols
-    pivots, reduced = reduced_row_echelon(system, p)
-    bound = isqrt(p // 2)
-    for f in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[f] = 1
-        for c, row in zip(pivots, reduced):
-            v[c] = -row[f] % p
-        den, y = 1, []
-        for a in v:
-            x = a * den % p
-            if x > bound and x < p - bound:
-                found = rational_reconstruction(x, p)
-                if found is None:
-                    return False
-                x, d = found
-                den *= d
-            elif x >= p - bound:
-                x -= p
-            y.append(Fraction(x, den))
-        if left and any(sum(y[i] * ints[i][j] for i in range(rows)) for j in range(cols)):
-            return False
-        if not left and any(sum(a * b for a, b in zip(row, y)) for row in ints):
-            return False
-    return True
 
 
 def cleared_row(row) -> list[int]:

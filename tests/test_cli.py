@@ -390,6 +390,11 @@ class TestExitCodes:
                              "fp:318665857834031151167461", "--json")
         assert code == 2 and "not prime" in err and not out
 
+    def test_non_integer_prime_is_two(self, capsys):
+        code, out, err = run(capsys, "hf", "X1^2*X2", "--field", "fp:abc")
+        assert code == 2 and not out
+        assert "'fp:abc'" in err and "fp:PRIME" in err and "invalid literal" not in err
+
     def test_internal_inconsistency_is_four(self, capsys, monkeypatch):
         import apolar.cli as cli_module
         monkeypatch.setattr(cli_module, "quadric_ideal_hf",

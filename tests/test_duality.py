@@ -655,22 +655,23 @@ def _power_sum(field) -> Poly:
     return sum(powers[1:], powers[0])
 
 
-def test_power_sum_ranks_are_certified_mod_p():
+def test_power_sum_shadow_certifies_only_degree_0():
     # r = 4 <= d + 1 general powers give h = (1, 4, 4, 4, 4, 4, 1); the
-    # catalecticants of degrees 1, 2 and 3 hold at least `_SHADOW_CELLS`
-    # cells and are deficient, so each rank is certified by a lifted kernel;
-    # the single row of degree 0, 1 x 210 cells, is certified by its full
-    # rank mod p, so Bareiss never runs
+    # catalecticants of degrees 0 to 3 hold at least `_SHADOW_CELLS` cells,
+    # and the single row of degree 0, 1 x 210 cells, is certified by its
+    # full rank mod p, while those of degrees 1, 2 and 3 are deficient mod p
+    # and ranked by Bareiss
     F = DualForm(_power_sum(QQ))
-    certified, real = [], linalg._certified_rank
+    shadows, real = [], linalg._full_rank_mod
     with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss, \
-            mock.patch.object(linalg, "_certified_rank",
-                              side_effect=lambda sub, cols: certified.append(real(sub, cols))
-                              or certified[-1]):
+            mock.patch.object(linalg, "_full_rank_mod",
+                              side_effect=lambda sub, cols: shadows.append(
+                                  (len(sub), cols, real(sub, cols))) or shadows[-1][2]):
         h = hilbert_function(F)
     assert tuple(h) == hf_by_kernels(F) == (1, 4, 4, 4, 4, 4, 1)
-    assert certified == [4, 4, 4, 1]
-    assert not bareiss.called
+    # degrees 3, 2, 1 and 0, in the order `hilbert_function` ranks them
+    assert shadows == [(35, 35, False), (15, 70, False), (5, 126, False), (1, 210, True)]
+    assert [len(call.args[0]) for call in bareiss.call_args_list] == [35, 15, 5]
     # the paper's theorem: Sperner number 4 <= d + 1 forces the WLP
     report = wlp_check(DualForm(_power_sum(FP)), trials=5, seed=23)
     assert report.verdict is Verdict.HOLDS, f"WLP FAILS at seed 23: {report.failing_degrees}"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,18 @@ def test_field_equality_and_description():
     assert field_from_description("fp") == GF(DEFAULT_PRIME)
     with pytest.raises(ValueError):
         field_from_description("gf2")
+
+
+@pytest.mark.parametrize("text", ["fp:abc", "fp:", "fp:7.0"])
+def test_non_integer_prime_names_the_descriptor(text):
+    with pytest.raises(ValueError, match=re.escape(f"unknown field descriptor {text!r} "
+                                                   "(expected q, fp or fp:PRIME)")):
+        field_from_description(text)
+
+
+def test_negative_prime_is_not_prime():
+    with pytest.raises(ValueError, match="not prime"):
+        field_from_description("fp:-7")
 
 
 nonzero_rationals = st.fractions(

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from apolar import (
-    DEFAULT_PRIME,
     GF,
     QQ,
     ExactMatrix,
@@ -19,7 +18,7 @@ from apolar import (
     parse_poly,
 )
 from apolar import fields, linalg
-from oracles import cleared_row, column_rank_profile, leibniz_det, lifted_kernel_certifies
+from oracles import cleared_row, column_rank_profile, leibniz_det
 
 FP = GF()
 
@@ -452,23 +451,22 @@ def _dens(rows: int) -> list[int]:
     return [1 + i % 6 for i in range(rows)]
 
 
-#: Deficient shadows of at least `linalg._SHADOW_CELLS` cells, the route
-#: `rank` must take and the rank over QQ, all mod the shadow's prime p: a
-#: rank-2 product whose kernel lifts and checks out; `lifted` rows whose
-#: kernel mod p lifts, on the left (rows < cols) and on the right
-#: (rows > cols), but not to a kernel over QQ; a rank-3 product of factors
-#: in [2^18, 2^19], whose kernel has entries past the reconstruction bound
-#: sqrt(p / 2) even at DEFAULT_PRIME = P; and one of factors in [2^8, 2^9],
-#: whose kernel entries lie between sqrt(p / 2) and sqrt(P / 2), so that it
-#: fails to lift only at the shadow's smaller prime.
+#: Deficient shadows of at least `linalg._SHADOW_CELLS` cells and their rank
+#: over QQ, all mod the shadow's prime p: a rank-2 product; `lifted` rows of
+#: rank 3 mod p and full rank over QQ, wide (rows < cols) and tall
+#: (rows > cols); and rank-3 products of factors in [2^18, 2^19] and in
+#: [2^8, 2^9].  The names say what rational reconstruction of the kernel
+#: mod p would give: a kernel over QQ, vectors that are no kernel over QQ,
+#: or entries n / d past sqrt(p / 2), at 2^61 - 1 too or at p only.  Each
+#: takes the one route of a deficient shadow all the same: Bareiss.
 SHADOW_ROUTES = {
-    "certified": (("product", _planted(24, 24, 2, 1, 9, "rank two"), _dens(24)), "certified", 2),
-    "lifted wide": (("lifted", _lifted(24, 30, 3, "wide"), _dens(24)), "rejected", 24),
-    "lifted tall": (("lifted", _lifted(30, 24, 3, "tall"), _dens(30)), "rejected", 24),
+    "certified": (("product", _planted(24, 24, 2, 1, 9, "rank two"), _dens(24)), 2),
+    "lifted wide": (("lifted", _lifted(24, 30, 3, "wide"), _dens(24)), 24),
+    "lifted tall": (("lifted", _lifted(30, 24, 3, "tall"), _dens(30)), 24),
     "past the bound": (("product", _planted(24, 24, 3, 2**18, 2**19, "wide entries"), _dens(24)),
-                       "unliftable", 3),
+                       3),
     "between the bounds": (("product", _planted(24, 24, 3, 2**8, 2**9, "mid entries"), _dens(24)),
-                           "unliftable", 3),
+                           3),
 }
 
 
@@ -481,10 +479,9 @@ SHADOW_ROUTES = {
 @example(SHADOW_ROUTES["past the bound"][0])
 @example(SHADOW_ROUTES["between the bounds"][0])
 def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
-    # a full rank mod p certifies the rank over QQ, and so does a deficient
-    # one whose kernel mod p lifts to a kernel over QQ; anything else falls
-    # back to Bareiss, and only `rank` reads the shadow, so the pivot
-    # columns stay those over QQ
+    # a full rank mod p certifies the rank over QQ; a deficient one, or a
+    # matrix below the cutoff, is ranked by Bareiss, and only `rank` reads
+    # the shadow, so the pivot columns stay those over QQ
     kind, ints, dens = case
     rows, cols = len(ints), len(ints[0])
     entries = [[Fraction(x, d) for x in row] for row, d in zip(ints, dens)]
@@ -497,8 +494,7 @@ def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
     if kind == "lifted":
         assume(len(pivots) == full)
         assert shadow < full
-    certified = rows * cols >= linalg._SHADOW_CELLS and (
-        shadow == full or lifted_kernel_certifies(integral, linalg._SHADOW_PRIME))
+    certified = rows * cols >= linalg._SHADOW_CELLS and shadow == full
     for m in (ExactMatrix(entries, QQ), ExactMatrix._integral(integral, den, QQ)):
         with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
             assert m.rank() == len(pivots)
@@ -508,34 +504,17 @@ def test_qq_rank_equals_bareiss_on_the_cleared_rows(case):
 
 @pytest.mark.parametrize("name", SHADOW_ROUTES)
 def test_deficient_shadows_take_their_route(name):
-    (_, ints, dens), route, expected = SHADOW_ROUTES[name]
+    # one elimination mod p finds the shadow deficient, and Bareiss ranks it
+    (_, ints, dens), expected = SHADOW_ROUTES[name]
     den = lcm(*dens)
     m = ExactMatrix._integral([[x * (den // d) for x in row] for row, d in zip(ints, dens)],
                               den, QQ)
-    lifts, lift = [], linalg._lift
     with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss, \
-            mock.patch.object(linalg, "_lift", side_effect=lambda v, p: lifts.append(lift(v, p))
-                              or lifts[-1]):
+            mock.patch.object(linalg, "_eliminate_mod", wraps=linalg._eliminate_mod) as shadow:
         rank = m.rank()
     assert rank == expected
-    assert lifts and bareiss.called == (route != "certified")
-    assert (None in lifts) == (route == "unliftable")
-
-
-def test_a_kernel_between_the_bounds_lifts_at_the_default_prime():
-    # the trade the shadow's smaller prime makes: this kernel's entries are
-    # past its reconstruction bound, so `rank` runs Bareiss, but they lift at
-    # DEFAULT_PRIME, where the same rank would be certified
-    (_, ints, dens), _, expected = SHADOW_ROUTES["between the bounds"]
-    den = lcm(*dens)
-    integral = [[x * (den // d) for x in row] for row, d in zip(ints, dens)]
-    assert not lifted_kernel_certifies(integral, linalg._SHADOW_PRIME)
-    assert lifted_kernel_certifies(integral, DEFAULT_PRIME)
-    m = ExactMatrix._integral(integral, den, QQ)
-    with mock.patch.object(linalg, "_SHADOW_PRIME", DEFAULT_PRIME), \
-            mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss:
-        assert m.rank() == expected
-    assert not bareiss.called
+    assert shadow.call_count == 1 and shadow.call_args.args[1] == linalg._SHADOW_PRIME
+    assert bareiss.call_count == 1
 
 
 def test_shadow_prime_packs_a_127_wide_shadow_in_8_byte_slots():
