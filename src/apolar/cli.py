@@ -172,6 +172,8 @@ def _need_prime(field, command: str) -> PrimeField:
 
 
 def _parse_form(args, field) -> DualForm:
+    if args.n is not None and args.n < 1:
+        raise _InputError(f"--n must be at least 1, got {args.n}")
     text = _read_text(args, args.form)
     n = args.n if args.n is not None else _infer_n(text)
     poly = parse_poly(text, n, field)

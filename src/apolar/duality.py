@@ -214,16 +214,32 @@ def _codes(n: int, degree: int, base: int) -> tuple[int, ...]:
 #:   monomials of the target degree.
 #: Timed on 2 cores, Python 3.11.7, over the forms of `cli_verdicts` (Perazzo
 #: d = 4..7, inverse-system samples of webs VII, IX and X at d = 7 and 9),
-#: of `exactness_rational`, and random forms of 10 to 100 terms in 4 to 6
-#: variables.  The terms build a catalecticant faster from a ratio
-#: rows x cols / (terms x min(rows, cols)) of about 16 on: the cells win at
-#: 12.6 and 14, the terms at 16.8 and 20, and the family forms read 8.2 at
-#: most.  For a contraction by a linear form the ratio targets / (terms x
+#: of `exactness_rational`, and random forms of 10, 30 and 100 terms in 4 to
+#: 6 variables of degree 4 to 7: every catalecticant of each form built and
+#: ranked both ways, best of 5 or 21 runs, and summed by the ratio
+#: max(rows, cols) / terms, in two sweeps:
+#:     ratio   matrices   terms faster   cells (ms)    terms (ms)
+#:       1-4        297          6, 9   55.0, 42.1   118.5, 87.3
+#:       4-8         74        28, 30   20.8, 17.1    26.0, 22.6
+#:      8-12         20        11, 11    5.7, 4.9      5.6, 4.7
+#:     12-16         22        15, 15    7.9, 6.6      5.3, 4.6
+#:     16-24          7         5, 5     3.4, 2.7      0.9, 0.7
+#:       24+         36        30, 30   74.0, 62.9    11.8, 9.7
+#: A term-built catalecticant holds only its nonzeros, as sparse rows that
+#: the peel reads without a scan, so the terms now break even near a ratio
+#: of 10 and win from 12 on, where they won from about 16 when they filled a
+#: matrix of zeros.  The cells still win on most wide matrices of one to six
+#: rows (a 1 x 126 row of 10 terms: 38 against 91 us), whose few dense rows
+#: are built and scanned in one pass each.  Of the matrices the workloads
+#: build, the cutoff 12 moves only Perazzo d = 4's 6 x 56 of degree 1
+#: (ratio 14), built twice per `cli_verdicts` pass, to the terms, which
+#: build and rank it in 64 against 71 us.
+#: For a contraction by a linear form the ratio targets / (terms x
 #: g's terms) breaks even near 1 on forms of 10 terms or more, but the term
 #: path costs about 3 us more to set up, so on the 1- to 5-term forms of
 #: `exactness_rational` in 2 variables it loses up to a ratio of 1.75; at 2
 #: and above it wins on every form timed.
-_SPARSE_CELLS = 16
+_SPARSE_CELLS = 12
 _SPARSE_TARGETS = 2
 
 
@@ -237,10 +253,11 @@ def catalecticant(F: DualForm, i: int) -> ExactMatrix:
     and columns run over the full monomial bases of the operator ring; the
     rank agrees with any quotient-basis version.  A form with few terms for
     the matrix's size (`_SPARSE_CELLS`) fills instead, per term b_e, the
-    cells (u, e - u) of the divisors u of e of degree i, on a matrix of
-    zeros.  The matrix keeps the record's ints over its denominator: over
-    QQ it is ranked and reduced with no Fraction, and its entries become
-    Fractions only when read.
+    cells (u, e - u) of the divisors u of e of degree i, into sparse rows
+    that hold no zero: the elimination peels them off their supports, and
+    dense rows are made only if something reads them.  The matrix keeps the
+    record's ints over its denominator: over QQ it is ranked and reduced
+    with no Fraction, and its entries become Fractions only when read.
     """
     d = F.degree
     if not 0 <= i <= d:
@@ -251,11 +268,11 @@ def catalecticant(F: DualForm, i: int) -> ExactMatrix:
     if _SPARSE_CELLS * len(scaled) >= max(len(rows), len(cols)):
         return _block(F, rows, cols)
     at, where = _positions(n, i, base), _positions(n, d - i, base)
-    ints = [[0] * len(cols) for _ in rows]
+    maps = [{} for _ in rows]
     for code, b in scaled.items():
         for u in _divisor_codes(code, n, base, i):
-            ints[at[u]][where[code - u]] = b
-    return ExactMatrix._integral(ints, record.den, F.field)
+            maps[at[u]][where[code - u]] = b
+    return ExactMatrix._sparse(maps, len(cols), record.den, F.field)
 
 
 @lru_cache(maxsize=256)

@@ -1,16 +1,20 @@
-"""Dense exact matrices and the one row reduction per field that serves them.
+"""Exact matrices, dense or sparse, and the one row reduction per field that serves them.
 
 Rank, determinant, pivot columns and kernel are all read off a single
 row-reduction routine for each field family.  A matrix holds integer rows
 over one positive denominator from the moment it is built: over F_p the
 residues in [0, p) over 1, over QQ the numerators over the lcm of all the
-entries' denominators.  Both families pass the rows through one pre-pass,
-`_peel`, the first step of structured Gaussian elimination
-(LaMacchia and Odlyzko, "Solving large sparse linear systems over finite
-fields", CRYPTO 1990): a row with a single nonzero, at column c, makes c a
-pivot column whose reduced row is the unit row e_c, so that row and column c
-are dropped, repeatedly, together with the zero rows and columns.  Only the
-rows and columns left reach the elimination:
+entries' denominators.  The rows are dense lists, or, from a builder that
+knows where its nonzeros are, sparse maps from column to nonzero entry.
+Both families pass the rows through one pre-pass, `_peel`, the first step
+of structured Gaussian elimination (LaMacchia and Odlyzko, "Solving large
+sparse linear systems over finite fields", CRYPTO 1990): a row with a
+single nonzero, at column c, makes c a pivot column whose reduced row is
+the unit row e_c, so that row and column c are dropped, repeatedly,
+together with the zero rows and columns.  It reads each row's support, the
+columns of its nonzeros: off a sparse row's keys, or by a scan of a dense
+row, made only when some dense row has a single nonzero.  Only the rows and
+columns left reach the elimination, as dense rows:
 
 - over F_p, `_eliminate_mod` runs Gaussian elimination on packed rows:
   each row is one Python int with a slot of W bits per column, where
@@ -50,9 +54,10 @@ profile mod p can differ from the one over QQ, as [[p, 1]] pivots at
 column 0 over QQ and at column 1 mod p, so `det`, `pivot_columns` and
 `kernel_basis` always run Bareiss.
 
-Matrices are dense lists: the ones at play are desk scale, and the sparse
-ones (ideal and inverse-system rows of a quadric web, catalecticants of
-sparse forms) mostly peel away before the dense elimination starts.
+The sparse matrices at play, the catalecticants of forms with few terms
+and the inverse-system rows of a quadric web, mostly peel away before the
+dense elimination starts, so they are never made dense unless something
+reads their entries or stacks them; the rest are desk scale and dense.
 """
 
 from __future__ import annotations
@@ -114,12 +119,38 @@ class ExactMatrix:
         m._hold(ints, den, field)
         return m
 
+    @classmethod
+    def _sparse(cls, maps: list[dict[int, int]], cols: int, den: int, field) -> ExactMatrix:
+        """The matrix whose row i holds maps[i][c] / den at each column c of maps[i], else 0.
+
+        The maps are normalised as `_integral`'s rows are, and hold no zero:
+        residues in [0, p) over F_p with `den` 1, integer numerators over QQ.
+        They are kept, not copied, and never changed; the peel reads its row
+        supports off them, and dense rows are built only when read.
+        """
+        m = object.__new__(cls)
+        m._rows, m._maps, m._den, m.field, m._entries = None, maps, den, field, None
+        m.rows, m.cols = len(maps), cols
+        return m
+
     def _hold(self, ints: list[list[int]], den: int, field) -> None:
-        self._ints, self._den, self.field = ints, den, field
-        # over QQ the Fraction entries are made only when `entries` is read
-        self._entries = ints if isinstance(field, PrimeField) else None
+        self._rows, self._maps, self._den, self.field = ints, None, den, field
+        self._entries = None  # made when `entries` is first read
         self.rows = len(ints)
         self.cols = len(ints[0]) if ints else 0
+
+    @property
+    def _ints(self) -> list[list[int]]:
+        """The integer rows; a sparse matrix builds them from its maps on first read."""
+        if self._rows is None:
+            zeros = [0] * self.cols
+            self._rows = []
+            for entries in self._maps:
+                row = zeros[:]
+                for c, x in entries.items():
+                    row[c] = x
+                self._rows.append(row)
+        return self._rows
 
     @classmethod
     def _stacked(cls, blocks: list[ExactMatrix]) -> ExactMatrix:
@@ -140,7 +171,8 @@ class ExactMatrix:
         """The rows as field elements; a QQ matrix makes its Fractions on first read."""
         if self._entries is None:
             den, zero = self._den, QQ.zero
-            self._entries = [[Fraction(x, den) if x else zero for x in row] for row in self._ints]
+            self._entries = self._ints if isinstance(self.field, PrimeField) else [
+                [Fraction(x, den) if x else zero for x in row] for row in self._ints]
         return self._entries
 
     def __getitem__(self, rc):
@@ -247,12 +279,34 @@ def _prepared(matrix: ExactMatrix):
     """The peel of `matrix`'s integer rows: (peeled, rest, keep, sub).
 
     `_peel` takes out the singleton rows; `keep` lists the columns left and
-    `sub` holds the rows `rest` on them.  When nothing was taken out, `sub`
-    is the rows themselves over F_p and a copy of them over QQ, which
-    Bareiss elimination changes in place.
+    `sub` holds the rows `rest` on them, dense.  A sparse matrix hands its
+    maps to `_peel` as the row supports.  A dense one counts each row's
+    nonzeros first and builds the supports only when a row has one; else
+    just its zero rows and columns drop, and when there are none `sub` is
+    the rows themselves over F_p and a copy of them over QQ, which Bareiss
+    elimination changes in place.
     """
-    m, cols = matrix._ints, matrix.cols
-    peeled, rest, kept = _peel(m, cols)
+    maps, cols = matrix._maps, matrix.cols
+    if maps is not None:
+        peeled, rest, kept = _peel(maps, cols)
+        keep = list(compress(range(cols), kept))
+        at = dict(zip(keep, range(len(keep))))
+        sub = []
+        for i in rest:
+            row = [0] * len(keep)
+            for c, x in maps[i].items():
+                if kept[c]:
+                    row[at[c]] = x
+            sub.append(row)
+        return peeled, rest, keep, sub
+    m = matrix._rows
+    weights = [cols - row.count(0) for row in m]
+    if 1 in weights:
+        peeled, rest, kept = _peel([list(compress(range(cols), row)) for row in m], cols)
+    else:
+        peeled, rest = [], list(compress(range(len(m)), weights))
+        # a row without zeros already shows that no column is zero
+        kept = [True] * cols if cols in weights else [any(c) for c in zip(*m)]
     if len(rest) == len(m) and all(kept):
         sub = m if isinstance(matrix.field, PrimeField) else [row[:] for row in m]
         return peeled, rest, range(cols), sub
@@ -304,7 +358,7 @@ def _echelon(matrix: ExactMatrix, reduced: bool):
     if peeled:
         pivots = sorted(found + [c for _, c in peeled])
         if len(pivots) == matrix.rows == cols:
-            m = matrix._ints
+            m = matrix._ints if matrix._maps is None else matrix._maps
             det *= _sign([i for i, _ in peeled] + rest) * _sign([c for _, c in peeled] + keep)
             det *= prod(m[i][c] for i, c in peeled)
             if prime:
@@ -328,7 +382,7 @@ def _primitive(sub: list[list[int]], den: int) -> tuple[list[list[int]], int]:
     return [[x // c for x in row] if c > 1 else row for row, c in zip(sub, contents)], prod(contents)
 
 
-def _peel(m, cols: int):
+def _peel(supports, cols: int):
     """Singleton-row pre-pass of structured Gaussian elimination: (peeled, rest, kept).
 
     A row whose only nonzero is at column c makes c a pivot column: column
@@ -340,20 +394,15 @@ def _peel(m, cols: int):
     row is zero outside the dropped columns, so the rank profile and the
     reduced rows of the rest are those of the whole matrix.
 
-    `m` holds normalised rows, so that a zero entry is the int 0.  Returns
-    the (row, column) pairs in the order they were peeled, the indices of
-    the rows left, none of them zero, and the mask of the columns left, none
-    of them zero in those rows.  Without a singleton row this is the scan
-    for zero rows and columns alone.
+    `supports` lists, for each row, the columns of its nonzeros, without
+    repeats: a list, or the keys of a sparse row.  Returns the (row, column)
+    pairs in the order they were peeled, the indices of the rows left, none
+    of them zero, and the mask of the columns left, none of them zero in
+    those rows.
     """
-    weights = [cols - row.count(0) for row in m]
-    if 1 not in weights:
-        # a row without zeros already shows that no column is zero
-        kept = [True] * cols if cols in weights else [any(c) for c in zip(*m)]
-        return [], list(compress(range(len(m)), weights)), kept
-    support = [list(compress(range(cols), row)) for row in m]
+    weights = list(map(len, supports))
     through = [[] for _ in range(cols)]  # through[c]: the rows with a nonzero at column c
-    for i, row in enumerate(support):
+    for i, row in enumerate(supports):
         for c in row:
             through[c].append(i)
     kept = list(map(bool, through))
@@ -362,7 +411,7 @@ def _peel(m, cols: int):
     for i in queue:
         if weights[i] != 1:
             continue  # its last nonzero went with an earlier peel
-        c = next(c for c in support[i] if kept[c])
+        c = next(c for c in supports[i] if kept[c])
         weights[i] = 0
         kept[c] = False
         peeled.append((i, c))
@@ -371,7 +420,7 @@ def _peel(m, cols: int):
                 weights[r] -= 1
                 if weights[r] == 1:
                     queue.append(r)
-    return peeled, list(compress(range(len(m)), weights)), kept
+    return peeled, list(compress(range(len(supports)), weights)), kept
 
 
 def _check_entries(rows, kinds, what: str) -> None:

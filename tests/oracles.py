@@ -65,7 +65,7 @@ from apolar import (
     quotient_basis,
     random_linear_form,
 )
-from apolar.catalog import _ideal_rows, _symmetric_matrices
+from apolar.catalog import _symmetric_matrices
 
 
 def differentiation_matrix(F: DualForm, i: int) -> ExactMatrix:
@@ -325,13 +325,21 @@ def cleared_row(row) -> list[int]:
 
 
 def leibniz_det(entries, p: int | None = None):
-    """Determinant as the signed sum over all permutations (mod p when given)."""
+    """Determinant as the signed sum over all permutations (mod p when given).
+
+    Each row is first multiplied by the lcm of its entries' denominators, so
+    the sum runs over ints, and the product of those lcms divides it once at
+    the end.
+    """
     n = len(entries)
+    scales = [lcm(*(Fraction(x).denominator for x in row)) for row in entries]
+    rows = [[int(Fraction(x) * s) for x in row] for row, s in zip(entries, scales)]
     total = 0
     for perm in permutations(range(n)):
         inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        total += (-1) ** inversions * prod(Fraction(entries[i][perm[i]]) for i in range(n))
-    return total if p is None else int(total) % p
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    det = Fraction(total, prod(scales))
+    return det if p is None else int(det) % p
 
 
 # -- binary forms over F_p in a random chart ----------------------------------
@@ -512,7 +520,7 @@ def dual_pencil_by_substitution(web: QuadricWeb, k):
         if any(e[3] for e in t.terms):
             raise InternalInconsistencyError("kernel reduction left a trailing variable")
         reduced.append(Poly(3, field, {e[:3]: c for e, c in t.terms.items()}))
-    mons, rows = _ideal_rows(reduced, 2, weighted=True)
+    mons, rows = ideal_rows_densely(reduced, 2, weighted=True)
     kernel = ExactMatrix(rows, field).kernel_basis()
     if len(kernel) != 2:
         return None
@@ -602,9 +610,29 @@ def quadric_ideal_hf_by_ranks(web: QuadricWeb, up_to: int) -> tuple[int, ...]:
     """
     out = [1, 4]
     for i in range(2, up_to + 1):
-        rows = _ideal_rows(web.quadrics, i)[1]
+        rows = ideal_rows_densely(web.quadrics, i)[1]
         out.append(comb(i + 3, 3) - ExactMatrix(rows, web.field).rank())
     return tuple(out)
+
+
+def ideal_rows_densely(quadrics, degree: int, weighted: bool = False):
+    """The degree-`degree` monomials and the dense rows of q * x^w over them.
+
+    One row per quadric q and monomial x^w of degree `degree` - 2: the
+    coefficient of q * x^w at every monomial, a zero wherever it has no
+    term, and with `weighted` the one at v times v! in the field.
+    """
+    field = quadrics[0].field
+    n = quadrics[0].n
+    mons = monomials_of_degree(n, degree)
+    rows = []
+    for q in quadrics:
+        for w in monomials_of_degree(n, degree - 2):
+            shifted = {tuple(a + b for a, b in zip(e, w)): c for e, c in q.terms.items()}
+            rows.append([field.mul(shifted[v], field.from_int(prod(map(factorial, v))))
+                         if weighted and v in shifted else shifted.get(v, field.zero)
+                         for v in mons])
+    return mons, rows
 
 
 # -- lex-segment oracles for the growth bounds --------------------------------

@@ -42,6 +42,7 @@ from apolar.catalog import (
     _binary_signature,
     _common_kernel,
     _dual_pencil,
+    _ideal_rows,
     _pencil_det,
     _quartic_det,
     _rank_one_locus_degree,
@@ -54,6 +55,7 @@ from oracles import (
     dual_pencil_by_substitution,
     gin2_by_exhaustion,
     gin2_by_sampling,
+    ideal_rows_densely,
     pencil_form,
     pencil_signature_by_random_pencil,
     poly_det,
@@ -632,6 +634,21 @@ class TestInverseSystemSample:
         web = orbit_representative(OrbitLabel.IX, FP)
         assert inverse_system_sample(web, 5, seed=2).poly == \
             inverse_system_sample(web, 5, seed=2).poly
+
+    @pytest.mark.parametrize("degree", [7, 8])
+    @pytest.mark.parametrize("label", [OrbitLabel.VII, OrbitLabel.IX, OrbitLabel.X])
+    def test_weighted_rows_drop_the_entries_that_vanish_mod_p(self, label, degree):
+        # over GF(7) in degree 7 or 8, c v! vanishes at the columns v with a
+        # 7 in them; the sparse rows must leave them out, since the peel
+        # takes every stored entry for a nonzero, and then their kernel is
+        # the one of the dense rows built entry by entry
+        web = orbit_representative(label, GF(7))
+        mons, rows = _ideal_rows(web.quadrics, degree, weighted=True)
+        dense = ideal_rows_densely(web.quadrics, degree, weighted=True)[1]
+        assert all(all(row.values()) for row in rows)
+        assert [[row.get(j, 0) for j in range(len(mons))] for row in rows] == dense
+        assert (ExactMatrix._sparse(rows, len(mons), 1, GF(7)).kernel_basis()
+                == ExactMatrix(dense, GF(7)).kernel_basis())
 
 
 class TestParametricQuintic:

@@ -346,6 +346,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "hf", "X5", "--n", "4")
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("form", ["X1^2", "3"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_variable_count_below_one_is_two(self, capsys, form, n):
+        code, out, err = run(capsys, "hf", form, "--n", n)
+        assert code == 2 and not out
+        assert err.strip() == f"error: --n must be at least 1, got {n}"
+
     def test_inhomogeneous_is_two(self, capsys):
         code, _, err = run(capsys, "hf", "X1^2 + X2")
         assert code == 2

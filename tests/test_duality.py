@@ -41,8 +41,11 @@ from oracles import (
     contract_by_differentiation,
     hf_by_kernels,
     in_span_of_ann,
+    leibniz_det,
     pairing_rows_naive,
     random_form,
+    random_linear_change,
+    substitute_naively,
 )
 
 FP = GF()
@@ -99,6 +102,21 @@ class TestCatalecticant:
 
     def test_rank_helper(self):
         assert catalecticant(DF("X1*X2", 2), 1).rank() == 2
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_term_built_block_stacks(self, field):
+        # Perazzo's d = 5 form has 5 terms, so its 7 x 210 catalecticant of
+        # degree 1 is built from them, as sparse rows; `_stacked` puts it and
+        # a dense row over one denominator, as the snake ledger stacks two
+        # catalecticants
+        sparse = catalecticant(perazzo_dual_form(5, field), 1)
+        assert sparse._maps is not None
+        dense = linalg.ExactMatrix([[Fraction(j % 3, 2) if field == QQ else j % 3
+                                     for j in range(sparse.cols)]], field)
+        stacked = linalg.ExactMatrix._stacked([sparse, dense])
+        whole = linalg.ExactMatrix(sparse.entries + dense.entries, field)
+        assert stacked == whole
+        assert stacked.rank() == whole.rank() == 8
 
 
 class TestHilbertFunction:
@@ -269,6 +287,67 @@ def test_term_pair_builders_agree_with_the_oracles(case):
     event("contraction from term pairs" if pairs < targets else "contraction target by target")
     G, want = contract(g, F), contract_by_differentiation(g, F)
     assert (None if G is None else G.poly) == (None if want is None else want.poly)
+
+
+@st.composite
+def few_term_forms_and_changes(draw):
+    """A form of 1 to 3 terms in 4 or 5 variables and an invertible change of coordinates.
+
+    Over QQ the coefficients are fractions and the change an integer matrix
+    with entries in -2..2; over F_p the change is `random_linear_change`.
+    The form's few terms build its catalecticants of degree 0 or 1 from the
+    terms, while its image under a change with few zeros has most monomials
+    of its degree and builds them cell by cell.
+    """
+    field = draw(st.sampled_from([QQ, GF(7), FP]))
+    n, d = draw(st.integers(4, 5)), draw(st.integers(3, 5))
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        matrix = draw(st.lists(row, min_size=n, max_size=n))
+        assume(leibniz_det(matrix) != 0)
+    else:
+        coeff = st.integers(1, field.p - 1)
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        matrix = random_linear_change(n, field, rng).matrix
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)), min_size=1, max_size=3,
+                         unique=True))
+    return DualForm(Poly(n, field, {m: draw(coeff) for m in mons})), matrix
+
+
+def _built_from_terms(G: DualForm) -> bool:
+    """Whether a catalecticant that `hilbert_function(G)` ranks is built from G's terms.
+
+    It ranks degrees d/2 down to the first i with h_i = dim R_i.
+    """
+    h, n, d = hilbert_function(G), G.n, G.degree
+    for i in range(d // 2, -1, -1):
+        rows, cols = comb(n - 1 + i, i), comb(n - 1 + d - i, d - i)
+        if duality._SPARSE_CELLS * len(G.poly.terms) < max(rows, cols):
+            return True
+        if h[i] == rows:
+            return False
+    return False
+
+
+@settings(max_examples=120, deadline=None)
+@given(few_term_forms_and_changes())
+# a monomial over QQ and a Perazzo-like binomial over GF(7) in 5 variables,
+# whose 5 x 35 catalecticants of degree 1 are built from the terms, under
+# changes of determinant 14 and 4 mod 7
+@example((DF("1/2*X1^2*X2*X3", 5), [[1, 1, 0, 0, 2], [0, 1, 1, 0, -1], [0, 0, 1, 1, 0],
+                                     [1, 0, 0, 2, 1], [-2, 1, 0, 0, 1]]))
+@example((DF("X1*X5^3 + 3*X2*X4*X5^2", 5, GF(7)),
+          [[1, 2, 3, 4, 5], [0, 1, 5, 6, 2], [2, 0, 1, 3, 4], [1, 1, 1, 0, 6], [3, 4, 0, 1, 1]]))
+def test_hilbert_function_is_invariant_under_a_change_of_coordinates(case):
+    # h of F and of F with x_i -> sum_j m[i][j] x_j substituted term by term:
+    # the span of F's partials of each order maps onto its image's
+    F, matrix = case
+    image = DualForm(substitute_naively(matrix, F.field, F.poly))
+    for name, G in (("form", F), ("image", image)):
+        event(f"{name} ranks a catalecticant built from terms" if _built_from_terms(G)
+              else f"{name} ranks only catalecticants built cell by cell")
+    assert tuple(hilbert_function(image)) == tuple(hilbert_function(F))
 
 
 def _contracted(G):

@@ -239,6 +239,38 @@ def test_derived_operations_agree_with_oracles(case):
     assert product == unit
 
 
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(singletons=True), st.sampled_from([2, 6]))
+def test_sparse_rows_agree_with_dense_rows(case, scale):
+    # the same integer rows given as {column: entry} maps, as the term-built
+    # catalecticant and the inverse-system rows give them, and given dense;
+    # over QQ they are put over `scale` times the lcm of the denominators,
+    # so that den > 1
+    field, entries = case
+    if field == QQ:
+        den = scale * lcm(*(Fraction(x).denominator for row in entries for x in row))
+        ints = [[int(Fraction(x) * den) for x in row] for row in entries]
+    else:
+        den, ints = 1, [[x % field.p for x in row] for row in entries]
+    cols = len(ints[0])
+    sparse = ExactMatrix._sparse([{c: x for c, x in enumerate(row) if x} for row in ints], cols,
+                                 den, field)
+    dense = ExactMatrix._integral(ints, den, field)
+    assert sparse.rank() == dense.rank()
+    assert sparse.pivot_columns() == dense.pivot_columns()
+    assert sparse.kernel_basis() == dense.kernel_basis()
+    if sparse.rows == cols:
+        assert sparse.det() == dense.det()
+    assert sparse._rows is None  # none of them built the dense rows
+    assert sparse == dense
+    # stacked on a dense block over another denominator, as the snake
+    # ledger stacks a term-built catalecticant on a cell-built one
+    other = ExactMatrix._integral([[1] * cols, [0] * (cols - 1) + [3]], 1 if den == 1 else 5, field)
+    assert ExactMatrix._stacked([sparse, other]) == ExactMatrix._stacked([dense, other])
+    rank = ExactMatrix._stacked([other, dense]).rank()
+    assert ExactMatrix._stacked([other, sparse]).rank() == rank
+
+
 def _stress_matrix(kind: str, p: int, rng: random.Random) -> list[list[int]]:
     """Matrices mod p large enough to fill many slots of a packed row."""
 
