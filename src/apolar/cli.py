@@ -143,11 +143,20 @@ def _read_text(args, positional: str | None) -> str:
         raise _InputError(f"cannot read --input {args.input}: {exc.strerror}") from None
 
 
+_INDEX = re.compile(r"[Xx](\d+)")
+
+
 def _infer_n(text: str) -> int:
-    indices = [int(m) for m in re.findall(r"[Xx](\d+)", text)]
+    """The largest variable index anywhere in `text`, read before any parse.
+
+    Every `[Xx](\\d+)` counts, also one past a syntax error, so an index the
+    parser refuses, such as X0, is reported against the whole text's largest
+    index.  Each distinct index text goes through int() once.
+    """
+    indices = set(_INDEX.findall(text))
     if not indices:
         raise _InputError("no variables found in the input")
-    return max(indices)
+    return max(map(int, indices))
 
 
 def _get_field(args):
@@ -179,9 +188,7 @@ def _parse_form(args, field) -> DualForm:
     poly = parse_poly(text, n, field)
     if poly.is_zero():
         raise _InputError("the zero polynomial is not a dual form")
-    if not poly.is_homogeneous():
-        raise _InputError("dual form must be homogeneous")
-    return DualForm(poly)
+    return DualForm(poly)  # refuses an inhomogeneous form
 
 
 def _parse_web(args, field) -> QuadricWeb:
@@ -364,14 +371,15 @@ def _cmd_family(args):
     form = inverse_system_sample(web, args.degree, seed=seed)
     h = hilbert_function(form)
     report = wlp_check(form, trials=args.trials, seed=seed + 1)
+    form_text = format_poly(form.poly)
     result = {
         "label": label.value,
         "degree": args.degree,
-        "form": format_poly(form.poly),
+        "form": form_text,
         "h": list(h),
         "wlp": report.to_dict(),
     }
-    text = [f"sampled dual form: {format_poly(form.poly)}",
+    text = [f"sampled dual form: {form_text}",
             f"h-vector: {tuple(h)}"] + _wlp_lines(report)
     return result, text
 
@@ -398,14 +406,15 @@ def _cmd_perazzo(args):
     field = _get_field(args)
     form = perazzo_dual_form(args.d, field=QQ)
     h = hilbert_function(form)
+    form_text = format_poly(form.poly)
     result = {
         "d": args.d,
         "n": form.n,
-        "form": format_poly(form.poly),
+        "form": form_text,
         "h": list(h),
         "sperner": h.sperner,
     }
-    text = [f"dual form: {format_poly(form.poly)}",
+    text = [f"dual form: {form_text}",
             f"h-vector: {tuple(h)} (sperner {h.sperner} = socle degree + 2)"]
     if args.seed is not None:
         prime_field = _need_prime(field, "perazzo --seed")
@@ -429,13 +438,10 @@ def _cmd_snake(args):
     else:
         g = random_linear_form(form.n, field, rng)
     ledger = snake_consistency(form, g, ell)
-    result = {
-        "g": format_poly(g, var="x"),
-        "ell": format_poly(ell, var="x"),
-        "ledger": ledger.to_dict(),
-    }
-    text = [f"g = {format_poly(g, var='x')}",
-            f"ell = {format_poly(ell, var='x')}",
+    g_text, ell_text = format_poly(g, var="x"), format_poly(ell, var="x")
+    result = {"g": g_text, "ell": ell_text, "ledger": ledger.to_dict()}
+    text = [f"g = {g_text}",
+            f"ell = {ell_text}",
             f"consistent: {'yes' if ledger.consistent else 'NO'}"]
     for r in ledger.records[:_TEXT_ELISION]:
         text.append(

@@ -111,9 +111,10 @@ class DualForm:
     def __init__(self, poly: Poly):
         if poly.is_zero():
             raise ValueError("dual form must be nonzero")
-        if not poly.is_homogeneous():
+        degrees = {sum(e) for e in poly.terms}
+        if len(degrees) > 1:
             raise ValueError("dual form must be homogeneous")
-        degree = poly.degree()
+        (degree,) = degrees
         if isinstance(poly.field, PrimeField) and poly.field.p <= degree:
             raise ValueError(
                 f"dual forms over F_p need characteristic p > deg F, got p = "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 #: Default modulus for "generic over a big prime" computations (Mersenne prime).
 DEFAULT_PRIME = 2**61 - 1
@@ -24,8 +25,14 @@ _PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@lru_cache(maxsize=64, typed=True)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < _PRIMALITY_BOUND."""
+    """Deterministic Miller-Rabin for n < _PRIMALITY_BOUND.
+
+    The verdicts on the last 64 moduli are cached, so a process that builds
+    `GF()` or runs the CLI many times proves each prime once.  A refusal is
+    cached too, and refused again on every call.
+    """
     if n < 2:
         return False
     for q in _BASES:

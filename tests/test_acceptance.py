@@ -124,6 +124,12 @@ def test_criterion_3_hessian_determinant_identities():
     _report(3, "parametric quintic Hessian determinants match closed forms, 0 mismatches")
 
 
+#: degenerate draws per (web, degree) at which criterion 4 fails: over the
+#: default prime the 120 kept draws meet none, so this many means the sampler
+#: is broken, and the draw loop ends instead of running on
+MAX_DEGENERATE = 10
+
+
 def test_criterion_4_family_wlp():
     started = time.monotonic()
     generic_h = {
@@ -136,12 +142,17 @@ def test_criterion_4_family_wlp():
         for degree in (5, 7):
             kept = 0
             seed = 0
+            degenerate = []
             while kept < 20:
                 seed += 1
                 F = inverse_system_sample(web, degree, seed=seed)
                 if tuple(hilbert_function(F)) != generic_h[degree]:
                     discarded += 1
+                    degenerate.append(seed)
                     print(f"  discarded degenerate sample: {label.value} deg {degree} seed {seed}")
+                    assert len(degenerate) < MAX_DEGENERATE, (
+                        f"{label.value} deg {degree}: degenerate samples at seeds "
+                        f"{degenerate}, {kept} generic ones kept")
                     continue
                 kept += 1
                 report = wlp_check(F, trials=5, seed=seed + 10**6)

@@ -346,6 +346,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "hf", "X5", "--n", "4")
         assert code == 2 and "out of range" in err
 
+    def test_index_is_checked_against_the_largest_in_the_text(self, capsys):
+        code, out, err = run(capsys, "hf", "X0 + X7")
+        assert code == 2 and not out
+        assert err.strip() == "error: variable index 0 out of range 1..7 (at position 1)"
+
     @pytest.mark.parametrize("form", ["X1^2", "3"])
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_variable_count_below_one_is_two(self, capsys, form, n):

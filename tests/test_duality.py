@@ -76,6 +76,12 @@ class TestDualFormHypotheses:
         with pytest.raises(ValueError, match="p > deg F"):
             DF("X1^4*X2^3", 2, GF(7))
 
+    @pytest.mark.parametrize("text", ["X1^2 + X2", "X1 + X2^2 + X1^3"])
+    def test_inhomogeneous_form_rejected(self, text):
+        # the CLI prints this message for an inhomogeneous form
+        with pytest.raises(ValueError, match="^dual form must be homogeneous$"):
+            DF(text, 2)
+
     def test_characteristic_above_degree_accepted(self):
         assert tuple(hilbert_function(DF("X1^5 + X2^5", 2, GF(7)))) == (1, 2, 2, 2, 2, 1)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from apolar import DEFAULT_PRIME, GF, QQ, PrimeField, field_from_description
+from apolar.fields import _is_prime
 
 
 def test_default_prime_is_prime():
@@ -67,6 +68,20 @@ def test_non_integer_prime_names_the_descriptor(text):
     with pytest.raises(ValueError, match=re.escape(f"unknown field descriptor {text!r} "
                                                    "(expected q, fp or fp:PRIME)")):
         field_from_description(text)
+
+
+def test_cached_refusal_still_refuses():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            field_from_description("fp:4")
+
+
+def test_each_prime_is_proved_once():
+    _is_prime.cache_clear()
+    GF()
+    GF()
+    info = _is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_negative_prime_is_not_prime():
