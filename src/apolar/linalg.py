@@ -29,7 +29,15 @@ columns left reach the elimination, as dense rows:
   to slots in [0, p] congruent to lambda times its entries, lambda =
   2^-W mod p; the factor each row below is updated by absorbs lambda, and
   the reduced echelon form is built from folded rows the same way.  Over
-  GF(2) the fold keeps each slot's low bit, and lambda = 1;
+  GF(2) the fold keeps each slot's low bit, and lambda = 1.  A rank of
+  rows that are square, have no zero on the diagonal and equal their
+  transpose (the middle catalecticant, whose entry (u, v) is b_{u+v}, and
+  the B_i x B_i blocks of ell^k o F) is read by `_rank_mod` with
+  diagonal pivots, the LDL^T factorisation: the Schur complement stays
+  symmetric, so row i keeps only its columns from i on and each update
+  touches about half the slots.  Row i receives at most i updates, each
+  below p^2 a slot, so the slots keep the same width W.  A zero pivot whose
+  row is not zero sends the rows to `_eliminate_mod`;
 - over QQ, `_eliminate_int` runs fraction-free Bareiss elimination (Bareiss
   1968) on a copy of the integer rows; the denominator scales every row
   alike, so it enters only the determinant, as den^rows.  When den > 1,
@@ -43,7 +51,7 @@ columns left reach the elimination, as dense rows:
 
 `rank` over QQ first tries a mod-p shadow when the rows left after the peel
 hold at least `_SHADOW_CELLS` cells: they are reduced mod `_SHADOW_PRIME`,
-the largest prime below 2^28, and ranked by `_eliminate_mod`, whose slots
+the largest prime below 2^28, and ranked by `_rank_mod`, whose slots
 are then 8 bytes wide for up to 127 rows or columns (17 at 2^61 - 1).  The
 rank r mod p bounds the rank over QQ from below, since the r x r minor on
 the pivots mod p is a nonzero integer; so a full rank mod p is the rank
@@ -192,13 +200,19 @@ class ExactMatrix:
     def rank(self) -> int:
         """The rank; over QQ read mod p first, as the module docstring says, when it pays.
 
-        A QQ matrix whose rows left after the peel hold at least
-        `_SHADOW_CELLS` cells and have full rank mod `_SHADOW_PRIME` has that
-        rank; every other QQ rank is Bareiss's.
+        A rank mod p, over F_p or of a QQ matrix's shadow, is `_rank_mod`'s:
+        rows left after the peel that are square, have no zero on the
+        diagonal and equal their transpose are eliminated with diagonal
+        pivots on the upper triangle, in slots as wide as `_eliminate_mod`'s,
+        since row i receives at most i updates below p^2 each; a zero pivot
+        whose row is not zero, and every other matrix, go to
+        `_eliminate_mod`.  A QQ matrix whose rows left after the peel hold at
+        least `_SHADOW_CELLS` cells and have full rank mod `_SHADOW_PRIME`
+        has that rank; every other QQ rank is Bareiss's.
         """
         peeled, _, keep, sub = _prepared(self)
         if isinstance(self.field, PrimeField):
-            return len(peeled) + len(_eliminate_mod(sub, self.field.p, False)[0])
+            return len(peeled) + _rank_mod(sub, self.field.p)
         if len(sub) * len(keep) >= _SHADOW_CELLS and _full_rank_mod(sub, len(keep)):
             return len(peeled) + min(len(sub), len(keep))
         return len(peeled) + len(_eliminate_int(_primitive(sub, self._den)[0], False)[0])
@@ -319,11 +333,61 @@ def _full_rank_mod(sub, cols: int) -> bool:
 
     The pivots mod p pick an r x r minor that is nonzero mod p, so a nonzero
     integer: a full rank mod p is the rank over QQ.  The rows are reduced
-    mod p, the zero ones dropped, and the rest ranked by one `_eliminate_mod`.
+    mod p, the zero ones dropped, and the rest ranked by `_rank_mod`.
     """
     p = _SHADOW_PRIME
     nonzero = [row for row in ([x % p for x in row] for row in sub) if any(row)]
-    return len(_eliminate_mod(nonzero, p, False)[0]) == min(len(sub), cols)
+    return _rank_mod(nonzero, p) == min(len(sub), cols)
+
+
+def _rank_mod(m: list[list[int]], p: int) -> int:
+    """The rank mod p of the rows `m`, entries in [0, p) and none of them all zero.
+
+    Rows that are square, have no zero on the diagonal and equal their
+    transpose take the symmetric route: Gaussian elimination with diagonal
+    pivots, the LDL^T factorisation (Golub and Van Loan, "Matrix
+    Computations", 4.1-4.2), on packed rows as `_eliminate_mod` packs them.
+    The Schur complement left after each pivot is symmetric, so row i keeps
+    only its columns from i on, and its entry at an earlier column k is read
+    off row k.  Pivot row k is folded as `_eliminate_mod` folds one, to
+    slots congruent to lambda times its entries, and one `unpack` of it
+    gives every coefficient; each row i > k with a nonzero entry c there is
+    updated by one multiply-add,
+    row_i += (c h mod p) * (folded masked to the columns >= i), with
+    h = -lead^-1 / lambda^2 mod p, one lambda for the coefficient and one
+    for the folded row.  No row is re-bucketed and no sign is taken.
+    Row i receives at most i updates, each adding less than p^2 to a slot,
+    so the slots of `_eliminate_mod`'s width W >= 2 bits(p) + bits(n) + 1
+    stay below 2^(W - 1).  A zero pivot whose row is zero mod p adds
+    nothing to the rank, and by symmetry its column is zero too.  A zero
+    pivot whose row is not zero would need a 2 x 2 pivot: the route gives
+    up and `_eliminate_mod` ranks the rows, as it ranks every other matrix.
+    """
+    n = len(m)
+    if not (n and len(m[0]) == n and all(row[i] for i, row in enumerate(m))
+            and all(map(list.__eq__, m, map(list, zip(*m))))):
+        return len(_eliminate_mod(m, p, False)[0])
+    size = (2 * p.bit_length() + n.bit_length() + 8) // 8
+    width = 8 * size
+    pack, unpack, fold, unit = _slots(p, size, n)
+    masks = [(1 << (n - i) * width) - 1 for i in range(n)]  # masks[i]: the columns >= i
+    rows = [pack(row) & mask for row, mask in zip(m, masks)]
+    rank = 0
+    for k, x in enumerate(rows):  # x has every earlier pivot's update by now
+        lead = (x >> (n - 1 - k) * width) % p
+        folded = fold(x)
+        coefficients = unpack(folded)
+        if not lead:
+            if any(c % p for c in coefficients):
+                return len(_eliminate_mod(m, p, False)[0])
+            continue
+        rank += 1
+        h = -unit * unit * pow(lead, -1, p) % p
+        for i in range(k + 1, n):
+            t = coefficients[i] * h % p
+            if t:
+                rows[i] += t * (folded & masks[i])
+    return rank
 
 
 def _echelon(matrix: ExactMatrix, reduced: bool):

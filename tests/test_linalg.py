@@ -1,24 +1,36 @@
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from apolar import (
     GF,
     QQ,
+    DualForm,
     ExactMatrix,
     LinearChange,
     Poly,
     PrimeField,
+    Verdict,
+    catalecticant,
+    hilbert_function,
     monomials_of_degree,
     parse_poly,
+    slp_check,
 )
 from apolar import fields, linalg
-from oracles import cleared_row, column_rank_profile, leibniz_det
+from oracles import (
+    cleared_row,
+    column_rank_profile,
+    hf_by_kernels,
+    leibniz_det,
+    mult_rank_by_pairing,
+)
 
 FP = GF()
 
@@ -293,6 +305,16 @@ def _stress_matrix(kind: str, p: int, rng: random.Random) -> list[list[int]]:
         return product(30, 60, 12)
     if kind == "all p-1":
         return [[p - 1] * 40 for _ in range(40)]
+    if kind == "symmetric":
+        # no zero on the diagonal, so it takes the symmetric route
+        m = dense(60, 60)
+        return [[m[min(i, j)][max(i, j)] if i != j else rng.randrange(1, p) for j in range(60)]
+                for i in range(60)]
+    if kind == "symmetric low rank":
+        # B D B^T, with B 60 x 20 and D diagonal: the Schur complement left
+        # after its pivots is zero, so the route skips the rows after them
+        b, diagonal = dense(60, 20), [rng.randrange(1, p) for _ in range(20)]
+        return [[sum(x * d * y for x, d, y in zip(u, diagonal, v)) % p for v in b] for u in b]
     if kind == "zero rows and columns":
         inner = dense(30, 30)
         return [[inner[i // 2][j // 2] if i % 2 == 0 and j % 2 == 1 else 0 for j in range(60)]
@@ -320,7 +342,8 @@ def _stress_matrix(kind: str, p: int, rng: random.Random) -> list[list[int]]:
 
 
 STRESS_KINDS = ["square", "tall", "wide", "tall low rank", "wide low rank", "all p-1",
-                "zero rows and columns", "largest growth", "singleton cascade"]
+                "zero rows and columns", "largest growth", "singleton cascade", "symmetric",
+                "symmetric low rank"]
 
 
 def _largest_prime_below(bound: int) -> int:
@@ -557,3 +580,153 @@ def test_shadow_prime_packs_a_127_wide_shadow_in_8_byte_slots():
     with mock.patch.object(linalg, "_slots", wraps=linalg._slots) as slots:
         assert len(linalg._eliminate_mod(rows, q, False)[0]) == 127
     assert slots.call_args.args[:2] == (q, 8)
+
+
+def _takes_the_symmetric_route(m: list[list[int]]) -> bool:
+    """Whether rows mod p are square, free of zeros on the diagonal and equal to their transpose."""
+    n = len(m)
+    return bool(n) and all(len(row) == n and row[i] for i, row in enumerate(m)) and all(
+        m[i][j] == m[j][i] for i in range(n) for j in range(i))
+
+
+@contextmanager
+def _rank_routes():
+    """Collect the route of every `_rank_mod` call made while open: (rows, route).
+
+    The route is "symmetric" for rows that take the symmetric route and are
+    ranked there, "fallback" for such rows that meet a zero pivot whose row
+    is not zero and go to `_eliminate_mod`, and "refused" for all others,
+    which `_eliminate_mod` must then rank.
+    """
+    routes, eliminated = [], []
+    rank_mod, eliminate_mod = linalg._rank_mod, linalg._eliminate_mod
+
+    def watched_rank_mod(m, p):
+        before = len(eliminated)
+        rank = rank_mod(m, p)
+        general = len(eliminated) > before
+        if _takes_the_symmetric_route(m):
+            routes.append((len(m), "fallback" if general else "symmetric"))
+        else:
+            assert general, "rows that are not symmetric skipped _eliminate_mod"
+            routes.append((len(m), "refused"))
+        return rank
+
+    def watched_eliminate_mod(*args):
+        eliminated.append(args)
+        return eliminate_mod(*args)
+
+    with mock.patch.object(linalg, "_rank_mod", watched_rank_mod), \
+            mock.patch.object(linalg, "_eliminate_mod", watched_eliminate_mod):
+        yield routes
+
+
+@contextmanager
+def _general_route_only():
+    """Rank every matrix mod p with `_eliminate_mod` while open, so an oracle avoids the route."""
+    with mock.patch.object(linalg, "_rank_mod",
+                           lambda m, p: len(linalg._eliminate_mod(m, p, False)[0])):
+        yield
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A field and a symmetric matrix over it, at times with one entry off its mirror.
+
+    S is A + A^T, A's upper triangle mirrored (over GF(2) the diagonal of
+    A + A^T is zero), or the low-rank B D B^T with D diagonal.  A's diagonal
+    and D hold no zero; other entries are zero about half the time.  The
+    fields are GF(2), GF(3), GF(7), the default prime, `TOP_OF_BRACKET` and
+    2^64 + 13 (rows packed with `to_bytes`), with 1 to 9 rows, and QQ with
+    12 to 14 rows, whose shadow mod `_SHADOW_PRIME` is then ranked.  One
+    matrix in four gets a zero on the diagonal, and one in four an entry
+    above the diagonal changed, so that it is no longer symmetric.
+    """
+    field = draw(st.sampled_from([GF(2), GF(3), GF(7), FP, GF(TOP_OF_BRACKET), GF(2**64 + 13),
+                                  QQ]))
+    if field == QQ:
+        n, nonzero = draw(st.integers(12, 14)), st.sampled_from([-3, -2, -1, 1, 2, 3, 5, 7, 9])
+    else:
+        p = field.p
+        n, nonzero = draw(st.integers(1, 9)), st.one_of(st.integers(1, min(9, p - 1)),
+                                                        st.integers(1, p - 1))
+    entry = st.one_of(st.just(0), nonzero)
+
+    def block(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    kind = draw(st.sampled_from(["sum", "mirror", "low rank"]))
+    if kind == "low rank":
+        r = draw(st.integers(0, n))
+        b = block(n, r)
+        diagonal = draw(st.lists(nonzero, min_size=r, max_size=r))
+        m = [[sum(x * d * y for x, d, y in zip(u, diagonal, v)) for v in b] for u in b]
+    else:
+        a = block(n, n)
+        for i in range(n):
+            a[i][i] = draw(nonzero)
+        m = [[a[i][j] + a[j][i] if kind == "sum" else a[min(i, j)][max(i, j)]
+              for j in range(n)] for i in range(n)]
+    one_in_four = st.sampled_from([False, False, False, True])
+    if draw(one_in_four):
+        i = draw(st.integers(0, n - 1))
+        m[i][i] = 0
+    if n > 1 and draw(one_in_four):
+        i = draw(st.integers(0, n - 2))
+        m[i][draw(st.integers(i + 1, n - 1))] += draw(st.integers(1, 9))
+    if field == QQ:
+        den = draw(st.sampled_from([1, 1, 6]))
+        return field, [[Fraction(x, den) for x in row] for row in m]
+    return field, [[x % field.p for x in row] for row in m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+# the second pivot vanishes while its row [0, 0, 2] does not: the fallback
+@example((FP, [[2, 2, 0], [2, 2, 2], [0, 2, 2]]))
+# both rows peel, and no rows are left to take the route
+@example((FP, [[0, 1], [1, 0]]))
+# slots 128 bits wide with no spare bit, each pivot's update at p - 1 times p
+@example((GF(TOP_OF_BRACKET), [[TOP_OF_BRACKET - 1] * 7 for _ in range(7)]))
+def test_symmetric_ranks_agree_with_the_column_rank_profile(case):
+    field, entries = case
+    p = field.p if isinstance(field, PrimeField) else None
+    with _rank_routes() as routes:
+        rank = ExactMatrix(entries, field).rank()
+    assert rank == len(column_rank_profile(entries, p))
+    for _, route in routes:
+        event(route)
+    if not routes:
+        event("no rank mod p")
+
+
+def _dense_octic() -> DualForm:
+    """The dense octic in five variables whose k-th coefficient is (k mod 9) + 1."""
+    return DualForm(Poly(5, FP, {e: k % 9 + 1 for k, e in enumerate(monomials_of_degree(5, 8))}))
+
+
+def test_symmetric_matrices_take_their_route():
+    # the second pivot vanishes while its row does not, and a route that
+    # skipped it would read rank 2
+    with _rank_routes() as routes:
+        assert ExactMatrix([[2, 2, 0], [2, 2, 2], [0, 2, 2]], FP).rank() == 3
+    assert routes == [(3, "fallback")]
+    # the 70 x 70 middle catalecticant of the dense octic, and the
+    # B_i x B_i blocks of ell^(8 - 2i) o F that `slp_check` ranks, are
+    # symmetric; the oracles rank theirs with `_eliminate_mod` only
+    F = _dense_octic()
+    with _rank_routes() as routes:
+        h = hilbert_function(F)
+    assert routes == [(70, "symmetric")]
+    with _general_route_only():
+        assert tuple(h) == hf_by_kernels(F) == (1, 5, 15, 35, 70, 35, 15, 5, 1)
+        assert catalecticant(F, 4).rank() == 70
+    with _rank_routes() as routes:
+        report = slp_check(F, trials=3, seed=1)
+    assert report.verdict is Verdict.HOLDS
+    # the 1 x 1 block of degree 0 peels away
+    assert routes == [(0, "refused"), (5, "symmetric"), (15, "symmetric"), (35, "symmetric")]
+    ell = parse_poly(report.certificate_form, 5, FP)
+    with _general_route_only():
+        for record in report.records:
+            assert record.achieved == mult_rank_by_pairing(F, ell, record.i, record.k)
