@@ -368,7 +368,10 @@ def hessian(F: DualForm, i: int) -> HessianMatrix:
 
 
 def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
-    """The i-th Hessian of F at the point a: ell^k o F paired on B_i x B_i (`_block`), over k!."""
+    """k! times the i-th Hessian of F at the point a, k = d - 2i: ell^k o F paired on B_i x B_i.
+
+    k! is a unit, as k <= d < p over F_p, so the block has the Hessian's rank.
+    """
     if len(point) != F.n:
         raise ValueError(f"point has length {len(point)}, expected {F.n}")
     if not 0 <= 2 * i <= F.degree:
@@ -387,16 +390,16 @@ def _hessian_block(F: DualForm, i: int, point) -> ExactMatrix:
     codes = _basis_codes(F, i)
     if G is None:
         return ExactMatrix._integral([[0] * len(codes) for _ in codes], 1, field)
-    block = _block(G, codes, codes)
-    if p is None:
-        return ExactMatrix._integral(block._ints, block._den * factorial(k), field)
-    inv = pow(factorial(k), -1, p)  # k <= d < p
-    return ExactMatrix._integral([[x * inv % p for x in row] for row in block._ints], 1, field)
+    return _block(G, codes, codes)
 
 
 def hessian_det_at(F: DualForm, i: int, point) -> object:
-    """Exact determinant of the i-th Hessian at a point, its coordinates read mod p over F_p."""
-    return _hessian_block(F, i, point).det()
+    """Exact determinant of the i-th Hessian at a point, its coordinates read mod p over F_p.
+
+    The block is k! times the Hessian, so its determinant is divided by (k!)^h, h its size.
+    """
+    block = _hessian_block(F, i, point)
+    return F.field.div(block.det(), F.field.from_int(factorial(F.degree - 2 * i) ** block.rows))
 
 
 def hessian_rank_at(F: DualForm, i: int, point) -> int:

@@ -17,8 +17,8 @@ row, made only when some dense row has a single nonzero.  Only the rows and
 columns left reach the elimination, as dense rows:
 
 - over F_p, `_eliminate_mod` runs Gaussian elimination on packed rows:
-  each row is one Python int with a slot of W bits per column, where
-  W >= 2 bits(p) + bits(min(rows, cols)) + 1, rounded up to whole bytes
+  each row is one Python int with a slot of W bits per column, whole
+  bytes wide enough for min(rows, cols) updates by `_slots`'s rule
   (one cached `struct.Struct` call packs a row when p < 2^64).  A row
   update is one big-int multiply-add with no per-entry loop, and no slot
   is ever reduced on its own (delayed modular reduction, after Dumas,
@@ -207,14 +207,17 @@ class ExactMatrix:
         since row i receives at most i updates below p^2 each; a zero pivot
         whose row is not zero, and every other matrix, go to
         `_eliminate_mod`.  A QQ matrix whose rows left after the peel hold at
-        least `_SHADOW_CELLS` cells and have full rank mod `_SHADOW_PRIME`
-        has that rank; every other QQ rank is Bareiss's.
+        least `_SHADOW_CELLS` cells has rank min(rows, cols) there when their
+        residues mod `_SHADOW_PRIME`, zero rows and all, have it; every other
+        QQ rank is Bareiss's.
         """
         peeled, _, keep, sub = _prepared(self)
         if isinstance(self.field, PrimeField):
             return len(peeled) + _rank_mod(sub, self.field.p)
-        if len(sub) * len(keep) >= _SHADOW_CELLS and _full_rank_mod(sub, len(keep)):
-            return len(peeled) + min(len(sub), len(keep))
+        full, q = min(len(sub), len(keep)), _SHADOW_PRIME
+        if len(sub) * len(keep) >= _SHADOW_CELLS and _rank_mod(
+                [[x % q for x in row] for row in sub], q) == full:
+            return len(peeled) + full
         return len(peeled) + len(_eliminate_int(_primitive(sub, self._den)[0], False)[0])
 
     def det(self):
@@ -261,11 +264,10 @@ class ExactMatrix:
 #: mod any prime is the rank over QQ, so the prime's size sets only the slot
 #: width and the chance of an unlucky prime, one that divides every maximal
 #: minor of a matrix of full rank over QQ and so sends it to Bareiss.  At 28
-#: bits a slot of `_eliminate_mod` is 2 * 28 + bits(min(rows, cols)) + 1
-#: bits, 8 bytes (one `struct` Q) for up to 127 rows or columns, and a row
-#: update multiplies by one 30-bit digit; at DEFAULT_PRIME = 2^61 - 1 the
-#: slot is 17 bytes and the digits three.  The Montgomery fold needs
-#: bits(p) < W / 2 = 32.
+#: bits `_slots`'s width rule gives 8-byte slots (one `struct` Q) for up to
+#: 127 rows or columns, and a row update multiplies by one 30-bit digit; at
+#: DEFAULT_PRIME = 2^61 - 1 the slot is 17 bytes and the digits three.  The
+#: Montgomery fold needs bits(p) < W / 2 = 32.
 _SHADOW_PRIME = 268435399
 
 #: Cells left after `_peel` from which `rank` over QQ tries the shadow.
@@ -328,20 +330,8 @@ def _prepared(matrix: ExactMatrix):
     return peeled, rest, list(compress(range(cols), kept)), sub
 
 
-def _full_rank_mod(sub, cols: int) -> bool:
-    """Whether the integer rows `sub`, `cols` wide, have rank min(rows, cols) mod `_SHADOW_PRIME`.
-
-    The pivots mod p pick an r x r minor that is nonzero mod p, so a nonzero
-    integer: a full rank mod p is the rank over QQ.  The rows are reduced
-    mod p, the zero ones dropped, and the rest ranked by `_rank_mod`.
-    """
-    p = _SHADOW_PRIME
-    nonzero = [row for row in ([x % p for x in row] for row in sub) if any(row)]
-    return _rank_mod(nonzero, p) == min(len(sub), cols)
-
-
 def _rank_mod(m: list[list[int]], p: int) -> int:
-    """The rank mod p of the rows `m`, entries in [0, p) and none of them all zero.
+    """The rank mod p of the rows `m`, entries in [0, p); no rows rank 0 before any slot is built.
 
     Rows that are square, have no zero on the diagonal and equal their
     transpose take the symmetric route: Gaussian elimination with diagonal
@@ -357,19 +347,19 @@ def _rank_mod(m: list[list[int]], p: int) -> int:
     h = -lead^-1 / lambda^2 mod p, one lambda for the coefficient and one
     for the folded row.  No row is re-bucketed and no sign is taken.
     Row i receives at most i updates, each adding less than p^2 to a slot,
-    so the slots of `_eliminate_mod`'s width W >= 2 bits(p) + bits(n) + 1
-    stay below 2^(W - 1).  A zero pivot whose row is zero mod p adds
-    nothing to the rank, and by symmetry its column is zero too.  A zero
-    pivot whose row is not zero would need a 2 x 2 pivot: the route gives
-    up and `_eliminate_mod` ranks the rows, as it ranks every other matrix.
+    so slots of `_slots`'s width for bits(n) updates stay below 2^(W - 1).
+    A zero pivot whose row is zero mod p adds nothing to the rank, and by
+    symmetry its column is zero too.  A zero pivot whose row is not zero
+    would need a 2 x 2 pivot: the route gives up and `_eliminate_mod` ranks
+    the rows, as it ranks every other matrix, zero rows and all.
     """
     n = len(m)
-    if not (n and len(m[0]) == n and all(row[i] for i, row in enumerate(m))
+    if not n:
+        return 0
+    if not (len(m[0]) == n and all(row[i] for i, row in enumerate(m))
             and all(map(list.__eq__, m, map(list, zip(*m))))):
         return len(_eliminate_mod(m, p, False)[0])
-    size = (2 * p.bit_length() + n.bit_length() + 8) // 8
-    width = 8 * size
-    pack, unpack, fold, unit = _slots(p, size, n)
+    width, pack, unpack, fold, unit = _slots(p, n, n.bit_length())
     masks = [(1 << (n - i) * width) - 1 for i in range(n)]  # masks[i]: the columns >= i
     rows = [pack(row) & mask for row, mask in zip(m, masks)]
     rank = 0
@@ -503,11 +493,11 @@ def _sign(order) -> int:
 def _eliminate_mod(m, p: int, reduced: bool):
     """Gaussian elimination mod p on packed rows: (pivot columns, det, rows).
 
-    The rows hold entries in [0, p), and no row is all zero; a zero column
-    leads no row and stays free.  Each row becomes one int with a
-    `size`-byte slot of W = 8 size bits per column, column 0 in the highest
-    slot, so a row's top nonzero slot is its leading column; the rows wait
-    in `leading` under that column.  No slot is ever reduced on its own.
+    The rows hold entries in [0, p).  Each becomes one int with a slot of W
+    bits per column, W from `_slots`, column 0 in the highest slot, so a
+    row's top nonzero slot is its leading column; the rows wait in
+    `leading` under that column, a row that packs to 0 in none, and a zero
+    column leads no row and stays free.  No slot is ever reduced on its own.
     At column c the pivot row, with slot `lead` there, is folded: all its
     slots at once go to [0, p], each congruent to lambda times its value,
     lambda = 2^-W mod p.  Every other row led by c, with slot t there, is
@@ -516,12 +506,12 @@ def _eliminate_mod(m, p: int, reduced: bool):
     absorbs lambda, and its slot at c, now a multiple of p below 2^W, is
     cleared by a mask.  Only the pivot column is read, by shift and `% p`.
 
-    Slots start below p and gain at most (p - 1) p per pivot, so with
-    W >= 2 bits(p) + bits(min(rows, cols)) + 1 they stay below 2^(W - 1):
-    they never carry into each other, and no slot ever borrows.  The fold
-    is two rounds of Montgomery's reduction without trial division
-    ("Modular multiplication without trial division", Math. Comp. 44,
-    1985), run on every slot at once.  With s = W / 2, LO holding 2^s - 1
+    Slots start below p and gain at most (p - 1) p per pivot, at most
+    min(rows, cols) times, so with `_slots`'s width for bits(min(rows, cols))
+    updates they stay below 2^(W - 1): they never carry into each other,
+    and no slot ever borrows.  The fold is two rounds of Montgomery's
+    reduction without trial division ("Modular multiplication without trial
+    division", Math. Comp. 44, 1985), run on every slot at once.  With s = W / 2, LO holding 2^s - 1
     in every slot and P' = -p^-1 mod 2^s, one round is
 
         x = (x + ((x & LO) * P' & LO) * p) >> s,
@@ -548,14 +538,13 @@ def _eliminate_mod(m, p: int, reduced: bool):
     unpacked once at the end; otherwise `rows` is empty.
     """
     n = len(m[0]) if m else 0
-    size = (2 * p.bit_length() + min(len(m), n).bit_length() + 8) // 8
-    width = 8 * size
-    pack, unpack, fold, unit = _slots(p, size, n)
+    width, pack, unpack, fold, unit = _slots(p, n, min(len(m), n).bit_length())
     # leading[c]: (index, packed row) for the rows whose top nonzero slot is column c
     leading = [[] for _ in range(n)]
     for i, row in enumerate(m):
         x = pack(row)
-        leading[n - 1 - (x.bit_length() - 1) // width].append((i, x))
+        if x:
+            leading[n - 1 - (x.bit_length() - 1) // width].append((i, x))
     pivots, pivot_rows, echelon = [], [], []
     det = 1
     for c in range(n):
@@ -601,18 +590,23 @@ def _eliminate_mod(m, p: int, reduced: bool):
 
 
 @lru_cache(maxsize=256)
-def _slots(p: int, size: int, n: int):
-    """(pack, unpack, fold, unit) for rows of n slots of `size` bytes mod p.
+def _slots(p: int, n: int, bits: int):
+    """(width, pack, unpack, fold, unit) for rows of n slots mod p that take below 2^bits updates.
 
+    A slot starts below p and each update adds less than p^2 to it, so it
+    stays below 2^(W - 1), with no carry into the next slot and no borrow,
+    once W >= 2 bits(p) + bits + 1: `width` is that W rounded up to whole
+    bytes, `size` of them, and this is the one place the rule is written.
     `pack` turns a row of ints in [0, p) into one int, column 0 in the
     highest slot; `unpack` reads the n slots of a packed int back.  When
     p < 2^64 each is one call of a cached `struct.Struct`: per slot, pad
     bytes and then the widest of B, H, I and Q that fits in the slot, which
-    holds every value up to p.  A larger prime packs with one `to_bytes` per entry and unpacks with
-    one `int.from_bytes` per slot.  `fold` is the two Montgomery rounds of
-    `_eliminate_mod`, or over GF(2) the low bit of every slot, and `unit`
-    is lambda^-1: 2^W mod p, or 1 over GF(2).
+    holds every value up to p.  A larger prime packs with one `to_bytes` per
+    entry and unpacks with one `int.from_bytes` per slot.  `fold` is the two
+    Montgomery rounds of `_eliminate_mod`, or over GF(2) the low bit of
+    every slot, and `unit` is lambda^-1: 2^W mod p, or 1 over GF(2).
     """
+    size = (2 * p.bit_length() + bits + 8) // 8
     width = 8 * size
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)
     if p < 1 << 64:
@@ -635,7 +629,7 @@ def _slots(p: int, size: int, n: int):
         def unpack(x):
             return [int.from_bytes(y, "big") for y in slot.unpack(x.to_bytes(size * n, "big"))]
     if p == 2:
-        return pack, unpack, ones.__and__, 1
+        return width, pack, unpack, ones.__and__, 1
     half = width // 2
     lo = ones * ((1 << half) - 1)
     inv = pow(-p, -1, 1 << half)
@@ -644,7 +638,7 @@ def _slots(p: int, size: int, n: int):
         x = (x + ((x & lo) * inv & lo) * p) >> half
         return (x + ((x & lo) * inv & lo) * p) >> half
 
-    return pack, unpack, fold, pow(2, width, p)
+    return width, pack, unpack, fold, pow(2, width, p)
 
 
 def _eliminate_int(m: list[list[int]], reduced: bool):

@@ -7,7 +7,8 @@ coefficient-times-factorial closed form of the catalecticant, nor the
 index shift of the divided-power basis), Hessians with each entry
 differentiated and then evaluated at the point term by term (not read off a
 block of the catalecticant of ell^k o F),
-multiplication ranks via the perfect pairing on quotient bases, whole
+multiplication ranks via the perfect pairing on quotient bases, ranked by
+textbook Gauss-Jordan (not the library's packed elimination), whole
 Lefschetz reports by replaying their seeded trials with every map ranked
 that way (not read off the Hilbert functions of a chain of contractions), snake
 ledger ranks from those and from spans of naive pairing rows, whether a
@@ -149,7 +150,9 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
     spanning set of [A]_{d-i-k}; every entry is one full contraction
     (ell^k * m_u * m_w) o F = m_w o ((ell^k * m_u) o F), computed with
     polynomial arithmetic: w! times the coefficient at w of the form
-    (ell^k * m_u) o F, which one diff_action per row gives.
+    (ell^k * m_u) o F, which one diff_action per row gives.  The rows are
+    ranked by textbook Gauss-Jordan, not by the library's elimination: for
+    k = d - 2i the matrix is symmetric, as is the block `slp_check` ranks.
     """
     field = F.field
     d = F.degree
@@ -161,7 +164,7 @@ def mult_rank_by_pairing(F: DualForm, ell: Poly, i: int, k: int = 1) -> int:
         image = diff_action(lk * Poly.monomial(F.n, field, u), F.poly)
         rows.append([field.mul(image.coefficient(w), field.from_int(prod(map(factorial, w))))
                      for w in pair])
-    return ExactMatrix(rows, field).rank()
+    return len(column_rank_profile(rows, field.p if isinstance(field, PrimeField) else None))
 
 
 def lefschetz_search_by_pairing(F: DualForm, h, maps: list[tuple[int, int]], trials: int,

@@ -747,11 +747,17 @@ def test_power_sum_shadow_certifies_only_degree_0():
     # full rank mod p, while those of degrees 1, 2 and 3 are deficient mod p
     # and ranked by Bareiss
     F = DualForm(_power_sum(QQ))
-    shadows, real = [], linalg._full_rank_mod
+    shadows, real = [], linalg._rank_mod
+
+    def watched(m, p):
+        # (rows, cols, full rank) of each shadow, zero rows mod p included
+        rank = real(m, p)
+        if p == linalg._SHADOW_PRIME:
+            shadows.append((len(m), len(m[0]), rank == min(len(m), len(m[0]))))
+        return rank
+
     with mock.patch.object(linalg, "_eliminate_int", wraps=linalg._eliminate_int) as bareiss, \
-            mock.patch.object(linalg, "_full_rank_mod",
-                              side_effect=lambda sub, cols: shadows.append(
-                                  (len(sub), cols, real(sub, cols))) or shadows[-1][2]):
+            mock.patch.object(linalg, "_rank_mod", watched):
         h = hilbert_function(F)
     assert tuple(h) == hf_by_kernels(F) == (1, 4, 4, 4, 4, 4, 1)
     # degrees 3, 2, 1 and 0, in the order `hilbert_function` ranks them

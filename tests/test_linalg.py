@@ -30,6 +30,7 @@ from oracles import (
     hf_by_kernels,
     leibniz_det,
     mult_rank_by_pairing,
+    reduced_row_echelon,
 )
 
 FP = GF()
@@ -441,6 +442,52 @@ def test_packed_elimination_at_the_top_of_a_slot_width(entries):
         assert [v[c] for c in free] == [int(c == fc) for c in free]
 
 
+@st.composite
+def rows_with_zero_rows(draw):
+    """(p, rows mod p) as the mod-p eliminations take them, with no peel before them.
+
+    Some rows are all zero, and at times every row is or there are none at
+    all: random rows, or a symmetric matrix with a zero row and column put
+    in, which the symmetric route must refuse.  The primes are GF(2)'s,
+    GF(7)'s, the default prime, `TOP_OF_BRACKET` and 2^64 + 13.
+    """
+    p = draw(st.sampled_from([2, 7, FP.p, TOP_OF_BRACKET, 2**64 + 13]))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(1, p - 1))
+    n = draw(st.integers(0, 9))
+    cols = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=n,
+                          max_size=n))
+    else:
+        cols = n = max(n, 2)
+        upper = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        m = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if m and not any(zero):
+        zero[draw(st.integers(0, n - 1))] = True
+    return p, [[0 if zero[i] or (n == cols and zero[j]) else x for j, x in enumerate(row)]
+               for i, row in enumerate(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_zero_rows())
+@example((7, []))
+@example((2, [[0, 0, 0]]))
+@example((FP.p, [[0, 0], [0, 1]]))
+def test_mod_p_eliminations_take_zero_rows_and_no_rows(case):
+    # no caller drops zero rows or checks for none before a mod-p elimination
+    p, m = case
+    pivots, rows = reduced_row_echelon(m, p)
+    assert linalg._rank_mod(m, p) == len(pivots)
+    found, _, reduced = linalg._eliminate_mod(m, p, True)
+    assert found == pivots and reduced == rows
+    assert linalg._eliminate_mod(m, p, False)[0] == pivots
+    if not m:
+        with mock.patch.object(linalg, "_slots", wraps=linalg._slots) as slots:
+            assert linalg._rank_mod(m, p) == 0
+        assert not slots.called
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_stacked_integral_blocks_keep_their_entries(field):
     # the blocks' denominators differ over QQ, so the top block is scaled
@@ -579,7 +626,9 @@ def test_shadow_prime_packs_a_127_wide_shadow_in_8_byte_slots():
     rows = [[rng.randrange(1, q) for _ in range(127)] for _ in range(127)]
     with mock.patch.object(linalg, "_slots", wraps=linalg._slots) as slots:
         assert len(linalg._eliminate_mod(rows, q, False)[0]) == 127
-    assert slots.call_args.args[:2] == (q, 8)
+    # 127 updates need 7 bits: 2 * 28 + 7 + 1 = 64, one `struct` Q a slot
+    assert slots.call_args.args == (q, 127, 7)
+    assert linalg._slots(q, 127, 7)[0] == 64
 
 
 def _takes_the_symmetric_route(m: list[list[int]]) -> bool:
@@ -593,10 +642,11 @@ def _takes_the_symmetric_route(m: list[list[int]]) -> bool:
 def _rank_routes():
     """Collect the route of every `_rank_mod` call made while open: (rows, route).
 
-    The route is "symmetric" for rows that take the symmetric route and are
-    ranked there, "fallback" for such rows that meet a zero pivot whose row
-    is not zero and go to `_eliminate_mod`, and "refused" for all others,
-    which `_eliminate_mod` must then rank.
+    The route is "empty" for no rows, which must rank 0 without calling
+    `_eliminate_mod`, "symmetric" for rows that take the symmetric route and
+    are ranked there, "fallback" for such rows that meet a zero pivot whose
+    row is not zero and go to `_eliminate_mod`, and "refused" for all
+    others, which `_eliminate_mod` must then rank.
     """
     routes, eliminated = [], []
     rank_mod, eliminate_mod = linalg._rank_mod, linalg._eliminate_mod
@@ -605,7 +655,10 @@ def _rank_routes():
         before = len(eliminated)
         rank = rank_mod(m, p)
         general = len(eliminated) > before
-        if _takes_the_symmetric_route(m):
+        if not m:
+            assert rank == 0 and not general, "an empty row list went to _eliminate_mod"
+            routes.append((0, "empty"))
+        elif _takes_the_symmetric_route(m):
             routes.append((len(m), "fallback" if general else "symmetric"))
         else:
             assert general, "rows that are not symmetric skipped _eliminate_mod"
@@ -724,9 +777,9 @@ def test_symmetric_matrices_take_their_route():
     with _rank_routes() as routes:
         report = slp_check(F, trials=3, seed=1)
     assert report.verdict is Verdict.HOLDS
-    # the 1 x 1 block of degree 0 peels away
-    assert routes == [(0, "refused"), (5, "symmetric"), (15, "symmetric"), (35, "symmetric")]
+    # the 1 x 1 block of degree 0 peels away, and no rows are left
+    assert routes == [(0, "empty"), (5, "symmetric"), (15, "symmetric"), (35, "symmetric")]
+    # the pairing oracle ranks by textbook Gauss-Jordan, off the route
     ell = parse_poly(report.certificate_form, 5, FP)
-    with _general_route_only():
-        for record in report.records:
-            assert record.achieved == mult_rank_by_pairing(F, ell, record.i, record.k)
+    for record in report.records:
+        assert record.achieved == mult_rank_by_pairing(F, ell, record.i, record.k)
